@@ -1,8 +1,8 @@
 (* The benchmark executable.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (Table II, Figs. 6-11) at the `quick` scale and prints the same
-   rows/series the paper reports — set CHRONUS_SCALE=paper in the
+   Part 1 runs every entry of the figure registry ([Figures]: Table II,
+   Figs. 6-11 of the paper's evaluation and the added figures) at the
+   `quick` scale and prints the same rows/series the paper reports — set CHRONUS_SCALE=paper in the
    environment for the published scale (CHRONUS_SCALE=tiny is the CI
    smoke scale). When more than one domain is available (CHRONUS_JOBS,
    else the recommended domain count) the suite is run twice — once
@@ -22,6 +22,7 @@
 
 open Bechamel
 module E = Chronus_experiments
+module F = E.Figures
 module Pool = Chronus_parallel.Pool
 module Obs = Chronus_obs.Obs
 open Chronus_flow
@@ -32,138 +33,45 @@ open Chronus_topo
 (* ------------------------------------------------------------------ *)
 (* Part 1: the experiment suite.                                       *)
 
-(* Every figure is optional so `--figures <list>` can run a subset: a
-   field is [None] exactly when the filter excluded that figure, which
-   keeps the sequential/parallel digest comparison meaningful (both
-   passes run the same subset). *)
-type suite = {
-  table2 : E.Table2.result option;
-  fig6 : E.Fig6.result option;
-  fig7 : E.Fig7.row list option;
-  fig8 : E.Fig8.row list option;
-  fig9 : E.Fig9.row list option;
-  fig10 : E.Fig10.row list option;
-  fig_scale : E.Fig_scale.row list option;
-  fig_service : E.Fig_service.row list option;
-  fig_conns : E.Fig_conns.row list option;
-  fig11 : E.Fig11.result option;
-  robust : E.Fig_robust.row list option;
-  ablation : E.Ablation.row list option;
-  wall_s : float;  (** full part-1 wall clock *)
-  trial_wall_s : float;  (** the trial-parallel experiments only *)
-  metrics : (string * Obs.snapshot) list;
-      (** per-figure observability deltas, in run order; excluded from
-          the determinism digest (metrics observe, never decide) *)
+(* One pass over the selected figures: each figure's output and
+   observability delta (metrics observe, never decide, so they stay out
+   of the digest), the pass's wall clock, and the wall clock of the
+   trial-parallel figures alone. *)
+type pass = {
+  figures : (F.t * F.output * Obs.snapshot) list;
+  wall_s : float;
+  trial_wall_s : float;
 }
 
-let figure_names =
-  [
-    E.Table2.name; E.Fig6.name; E.Fig7.name; E.Fig8.name; E.Fig9.name;
-    E.Fig10.name; E.Fig_scale.name; E.Fig_service.name; E.Fig_conns.name;
-    E.Fig11.name; E.Fig_robust.name; E.Ablation.name;
-  ]
-
-(* Everything except the measured timings of Fig. 10, the scale figure
-   and the service figure is a pure function of (scale, seed), so the
-   digest must match between a sequential and a parallel pass bit for
-   bit. *)
-let digest s =
-  Digest.string
-    (Marshal.to_string
-       (s.table2, s.fig6, s.fig7, s.fig8, s.fig9, s.fig11, s.robust, s.ablation)
-       [])
-
-let run_suite ~jobs ~want scale =
+let run_suite ~jobs figures scale =
   let now () = Unix.gettimeofday () in
-  let figure_metrics = ref [] in
-  (* Counters are cumulative across the whole process; per-figure views
-     are snapshot deltas taken around each figure's run. *)
-  let measured name f =
-    if not (want name) then None
-    else begin
-      let before = Obs.snapshot () in
-      let r = f () in
-      figure_metrics :=
-        (name, Obs.diff before (Obs.snapshot ())) :: !figure_metrics;
-      Some r
-    end
-  in
   let t0 = now () in
-  let table2 = measured E.Table2.name (fun () -> E.Table2.run ~jobs ()) in
-  let fig6 = measured E.Fig6.name (fun () -> E.Fig6.run ()) in
-  let t1 = now () in
-  let fig7 = measured E.Fig7.name (fun () -> E.Fig7.run ~jobs ~scale ()) in
-  let fig8 = measured E.Fig8.name (fun () -> E.Fig8.run ~jobs ~scale ()) in
-  let fig9 = measured E.Fig9.name (fun () -> E.Fig9.run ~jobs ~scale ()) in
-  let fig11 = measured E.Fig11.name (fun () -> E.Fig11.run ~jobs ~scale ()) in
-  let robust =
-    measured E.Fig_robust.name (fun () -> E.Fig_robust.run ~jobs ~scale ())
+  let trial_wall_s = ref 0. in
+  let figures =
+    List.map
+      (fun (f : F.t) ->
+        let t = now () in
+        let out, snap = F.measure f ~jobs ~scale F.default_axes in
+        if f.F.trial then trial_wall_s := !trial_wall_s +. (now () -. t);
+        (f, out, snap))
+      figures
   in
-  let ablation =
-    measured E.Ablation.name (fun () -> E.Ablation.run ~jobs ~scale ())
-  in
-  let t2 = now () in
-  let fig10 = measured E.Fig10.name (fun () -> E.Fig10.run ~jobs ~scale ()) in
-  let fig_scale =
-    measured E.Fig_scale.name (fun () -> E.Fig_scale.run ~jobs ~scale ())
-  in
-  let fig_service =
-    measured E.Fig_service.name (fun () -> E.Fig_service.run ~jobs ~scale ())
-  in
-  let fig_conns =
-    measured E.Fig_conns.name (fun () -> E.Fig_conns.run ~jobs ~scale ())
-  in
-  let t3 = now () in
-  {
-    table2;
-    fig6;
-    fig7;
-    fig8;
-    fig9;
-    fig10;
-    fig_scale;
-    fig_service;
-    fig_conns;
-    fig11;
-    robust;
-    ablation;
-    wall_s = t3 -. t0;
-    trial_wall_s = t2 -. t1;
-    metrics = List.rev !figure_metrics;
-  }
+  { figures; wall_s = now () -. t0; trial_wall_s = !trial_wall_s }
 
-let print_suite ?(metrics = false) s =
-  let banner name =
-    Printf.printf "\n================ %s ================\n%!" name
-  in
-  let print_metrics name =
-    if metrics then
-      match List.assoc_opt name s.metrics with
-      | None | Some [] -> ()
-      | Some snap ->
-          Printf.printf "\n-- metrics (%s) --\n" name;
-          Obs.print_table snap
-  in
-  let figure name print v =
-    match v with
-    | None -> ()
-    | Some v ->
-        banner name;
-        print v;
-        print_metrics name
-  in
-  figure E.Table2.name E.Table2.print s.table2;
-  figure E.Fig6.name E.Fig6.print s.fig6;
-  figure E.Fig7.name E.Fig7.print s.fig7;
-  figure E.Fig8.name E.Fig8.print s.fig8;
-  figure E.Fig9.name E.Fig9.print s.fig9;
-  figure E.Fig10.name E.Fig10.print s.fig10;
-  figure E.Fig_scale.name E.Fig_scale.print s.fig_scale;
-  figure E.Fig_service.name E.Fig_service.print s.fig_service;
-  figure E.Fig_conns.name E.Fig_conns.print s.fig_conns;
-  figure E.Fig11.name E.Fig11.print s.fig11;
-  figure E.Fig_robust.name E.Fig_robust.print s.robust;
-  figure E.Ablation.name E.Ablation.print s.ablation
+(* Every figure's deterministic projection, so the digest must match
+   between a sequential and a parallel pass bit for bit. *)
+let digest p =
+  List.map (fun ((f : F.t), (o : F.output), _) -> (f.F.key, o.F.det)) p.figures
+  |> Fun.flip Marshal.to_string []
+  |> Digest.string
+
+let print_suite ~metrics p =
+  List.iter
+    (fun ((f : F.t), (o : F.output), snap) ->
+      Printf.printf "\n================ %s ================\n%!" f.F.title;
+      o.F.print ();
+      if metrics then F.print_metrics f snap)
+    p.figures
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: micro-benchmarks.                                           *)
@@ -271,10 +179,8 @@ let oracle_incremental_tests =
     ]
 
 (* The data-plane structures, at the acceptance load: 1000 rules per
-   switch over 256 destinations. The indexed table answers lookups from
-   a per-destination bucket; the legacy list — the seed implementation,
-   kept in-tree as [Flow_table.Legacy] — scans all 1000 rules, so the
-   pair of rows reads directly as the speedup. *)
+   switch over 256 destinations, answered from per-destination
+   buckets. *)
 let flow_table_tests =
   let module FT = Chronus_sim.Flow_table in
   let act = { FT.set_tag = None; forward = FT.To_host } in
@@ -286,11 +192,6 @@ let flow_table_tests =
   List.iter
     (fun (priority, dst) ->
       ignore (FT.install t ~priority ~dst ~tag_match:FT.Any_tag act))
-    rules;
-  let l = FT.Legacy.create () in
-  List.iter
-    (fun (priority, dst) ->
-      ignore (FT.Legacy.install l ~priority ~dst ~tag_match:FT.Any_tag act))
     rules;
   let probes =
     let rng = Rng.make 78 in
@@ -305,9 +206,6 @@ let flow_table_tests =
   [
     Test.make ~name:"flow-table/lookup/1000"
       (Staged.stage (fun () -> ignore (FT.lookup t ~dst:(next ()) ~tag:None)));
-    Test.make ~name:"flow-table/legacy-lookup/1000"
-      (Staged.stage (fun () ->
-           ignore (FT.Legacy.lookup l ~dst:(next ()) ~tag:None)));
     Test.make ~name:"flow-table/modify/1000"
       (Staged.stage (fun () ->
            ignore (FT.modify_actions t ~dst:(next ()) ~tag_match:FT.Any_tag act)));
@@ -350,9 +248,9 @@ let prefix_table_tests =
       (Staged.stage (fun () -> ignore (TC.compile bindings)));
   ]
 
-(* Steady-state hold model (push one, dispatch one) on a queue holding
-   1000 pending events with microsecond-spread timestamps — the
-   calendar ring against the seed binary heap it replaced. *)
+(* Steady-state hold model (push one, dispatch one) on the calendar
+   queue holding 1000 pending events with microsecond-spread
+   timestamps. *)
 let event_queue_tests =
   let module EQ = Chronus_sim.Event_queue in
   let times =
@@ -360,11 +258,10 @@ let event_queue_tests =
     Array.init 4096 (fun _ -> Rng.int rng 1_000_000)
   in
   let nothing () = () in
-  let preload push = for i = 0 to 999 do push ~time:times.(i) nothing done in
-  let cq = EQ.Calendar.create () in
-  preload (EQ.Calendar.push cq);
-  let hq = EQ.Heap.create () in
-  preload (EQ.Heap.push hq);
+  let q = EQ.create () in
+  for i = 0 to 999 do
+    EQ.push q ~time:times.(i) nothing
+  done;
   let cursor = ref 1000 in
   let next () =
     let t = times.(!cursor land 4095) in
@@ -374,12 +271,8 @@ let event_queue_tests =
   [
     Test.make ~name:"event-queue/push-pop"
       (Staged.stage (fun () ->
-           EQ.Calendar.push cq ~time:(next ()) nothing;
-           ignore (EQ.Calendar.run_next cq)));
-    Test.make ~name:"event-queue/heap-push-pop"
-      (Staged.stage (fun () ->
-           EQ.Heap.push hq ~time:(next ()) nothing;
-           ignore (EQ.Heap.run_next hq)));
+           EQ.push q ~time:(next ()) nothing;
+           ignore (EQ.run_next q)));
   ]
 
 (* The update service's admission pipeline, on the shared-WAN shape
@@ -641,200 +534,19 @@ let metrics_json () =
                  ] ))
        (Obs.snapshot ()))
 
-(* chronus-bench/3: how hard the incremental oracle worked across the
-   whole run, plus the headline probes-per-second figure derived from the
-   micro pass (null when only experiments ran). *)
-let oracle_cache_json ~micro =
-  let snap = Obs.snapshot () in
-  let counter label =
-    match List.assoc_opt label snap with
-    | Some (Obs.Counter n) -> Json.Int n
-    | _ -> Json.Int 0
+(* A figure's report rows: one object per cell (since chronus-bench/5
+   for scale_rows; the columns are listed in [Figures]). *)
+let cells_json cells =
+  let value = function
+    | F.Int i -> Json.Int i
+    | F.Float f -> Json.Float f
+    | F.Bool b -> Json.Bool b
   in
-  let probes_per_s =
-    match micro with
-    | None -> Json.Null
-    | Some rows -> (
-        match List.assoc_opt "chronus/oracle-incremental/probe/200" rows with
-        | Some ns when ns > 0. && not (Float.is_nan ns) ->
-            Json.Float (1e9 /. ns)
-        | _ -> Json.Null)
-  in
-  Json.Obj
-    [
-      ("cache_hits", counter "oracle.cache_hits");
-      ("cohorts_retraced", counter "oracle.cohorts_retraced");
-      ("full_evals", counter "oracle.full_evals");
-      ("probes_per_s", probes_per_s);
-    ]
-
-(* chronus-bench/4: fault-injection and recovery activity across the
-   whole run — every fault site plus the hardened timed executor's
-   retry/fallback counters and the monitor's online violation tallies.
-   Keys are always present (0 when a site never fired). *)
-let faults_json () =
-  let snap = Obs.snapshot () in
-  let counter label =
-    match List.assoc_opt label snap with
-    | Some (Obs.Counter n) -> Json.Int n
-    | _ -> Json.Int 0
-  in
-  Json.Obj
-    [
-      ("chan_lost", counter "faults.chan.lost");
-      ("chan_duplicated", counter "faults.chan.duplicated");
-      ("chan_delayed", counter "faults.chan.delayed");
-      ("chan_reordered", counter "faults.chan.reordered");
-      ("switch_rejected", counter "faults.switch.rejected");
-      ("switch_straggled", counter "faults.switch.straggled");
-      ("switch_crashed", counter "faults.switch.crashed");
-      ("clock_skewed_flips", counter "faults.clock.skewed_flips");
-      ("exec_retries", counter "exec.retries");
-      ("exec_fallbacks", counter "exec.fallbacks");
-      ("transient_loops", counter "monitor.transient_loops");
-      ("blackhole_drops", counter "monitor.blackhole_drops");
-      ("overload_samples", counter "monitor.overload_samples");
-    ]
-
-(* chronus-bench/5: the scale figure's rows — deterministic shape/size
-   columns plus the wall-measured throughput and lookup cost. The wall
-   columns vary run to run; they are reported here but never enter the
-   determinism digest. *)
-let scale_json suite =
-  match suite.fig_scale with
-  | None -> Json.Null
-  | Some rows ->
-      Json.Obj
-        (List.map
-           (fun (r : E.Fig_scale.row) ->
-             ( r.E.Fig_scale.topo,
-               Json.Obj
-                 [
-                   ("switches", Json.Int r.E.Fig_scale.switches);
-                   ("links", Json.Int r.E.Fig_scale.links);
-                   ("rules_exact", Json.Int r.E.Fig_scale.rules_exact);
-                   ("rules_compiled", Json.Int r.E.Fig_scale.rules_compiled);
-                   ("compression", Json.Float r.E.Fig_scale.compression);
-                   ("table_words", Json.Int r.E.Fig_scale.table_words);
-                   ("updates", Json.Int r.E.Fig_scale.updates);
-                   ("events", Json.Int r.E.Fig_scale.events);
-                   ("chronus_span_s", Json.Float r.E.Fig_scale.chronus_span_s);
-                   ("tp_span_s", Json.Float r.E.Fig_scale.tp_span_s);
-                   ("or_span_s", Json.Float r.E.Fig_scale.or_span_s);
-                   ("chronus_clean", Json.Bool r.E.Fig_scale.chronus_clean);
-                   ("events_per_s", Json.Float r.E.Fig_scale.events_per_s);
-                   ("lookup_ns", Json.Float r.E.Fig_scale.lookup_ns);
-                 ] ))
-           rows)
-
-(* chronus-bench/8: the prefix-compilation headline — address width and
-   per-fat-tree-cell compression, including the floor CI asserts. *)
-let prefix_json suite =
-  match suite.fig_scale with
-  | None -> Json.Null
-  | Some rows ->
-      let fat_tree =
-        List.filter
-          (fun (r : E.Fig_scale.row) ->
-            String.length r.E.Fig_scale.topo >= 8
-            && String.sub r.E.Fig_scale.topo 0 8 = "fat-tree")
-          rows
-      in
-      let min_compression =
-        List.fold_left
-          (fun acc (r : E.Fig_scale.row) ->
-            min acc r.E.Fig_scale.compression)
-          infinity fat_tree
-      in
-      Json.Obj
-        [
-          ("addr_bits", Json.Int Chronus_sim.Flow_table.addr_bits);
-          ( "cells",
-            Json.Obj
-              (List.map
-                 (fun (r : E.Fig_scale.row) ->
-                   ( r.E.Fig_scale.topo,
-                     Json.Obj
-                       [
-                         ("rules_exact", Json.Int r.E.Fig_scale.rules_exact);
-                         ( "rules_compiled",
-                           Json.Int r.E.Fig_scale.rules_compiled );
-                         ("compression", Json.Float r.E.Fig_scale.compression);
-                       ] ))
-                 fat_tree) );
-          ( "min_fat_tree_compression",
-            if fat_tree = [] then Json.Null else Json.Float min_compression );
-        ]
-
-(* chronus-bench/7: the update-service figure, one entry per offered
-   rate — deterministic admission/commit columns, derived denial and
-   serialization rates, the per-transaction from-scratch oracle
-   evaluation cost (checker-pool misses over committed transactions —
-   the admission pipeline's headline ratio, asserted < 1 in CI), and
-   the wall-measured throughput and latency percentiles. As with the
-   scale rows, the wall columns never enter the determinism digest;
-   neither does full_evals, which depends on pool timing. *)
-let service_json suite =
-  match suite.fig_service with
-  | None -> Json.Null
-  | Some rows ->
   Json.Obj
     (List.map
-       (fun (r : E.Fig_service.row) ->
-         let denial_rate =
-           if r.E.Fig_service.submitted > 0 then
-             Json.Float
-               (float_of_int r.E.Fig_service.denied
-               /. float_of_int r.E.Fig_service.submitted)
-           else Json.Null
-         in
-         ( Printf.sprintf "rate-%d" r.E.Fig_service.offered_per_round,
-           Json.Obj
-             [
-               ("rounds", Json.Int r.E.Fig_service.rounds);
-               ("flows", Json.Int r.E.Fig_service.flows);
-               ("submitted", Json.Int r.E.Fig_service.submitted);
-               ("committed", Json.Int r.E.Fig_service.committed);
-               ("serialized", Json.Int r.E.Fig_service.serialized);
-               ( "serialized_rate",
-                 Json.Float r.E.Fig_service.serialized_rate );
-               ("denied", Json.Int r.E.Fig_service.denied);
-               ("batches", Json.Int r.E.Fig_service.batches);
-               ("denial_rate", denial_rate);
-               ("full_evals", Json.Int r.E.Fig_service.full_evals);
-               ( "full_evals_per_txn",
-                 Json.Float r.E.Fig_service.full_evals_per_txn );
-               ("mean_makespan", Json.Float r.E.Fig_service.mean_makespan);
-               ("throughput_per_s", Json.Float r.E.Fig_service.throughput_per_s);
-               ("p50_ms", Json.Float r.E.Fig_service.p50_ms);
-               ("p99_ms", Json.Float r.E.Fig_service.p99_ms);
-             ] ))
-       rows)
-
-(* chronus-bench/9: the heavy-traffic figure — peak concurrent fibers
-   and virtual-time switch-RTT percentiles per session count. Every
-   column but wall_s is deterministic. *)
-let conns_json suite =
-  match suite.fig_conns with
-  | None -> Json.Null
-  | Some rows ->
-      Json.Obj
-        (List.map
-           (fun (r : E.Fig_conns.row) ->
-             ( Printf.sprintf "conns-%d" r.E.Fig_conns.conns,
-               Json.Obj
-                 [
-                   ("switches", Json.Int r.E.Fig_conns.switches);
-                   ("peak_fibers", Json.Int r.E.Fig_conns.peak_fibers);
-                   ("pings", Json.Int r.E.Fig_conns.pings);
-                   ("rtt_p50_ms", Json.Float r.E.Fig_conns.rtt_p50_ms);
-                   ("rtt_p99_ms", Json.Float r.E.Fig_conns.rtt_p99_ms);
-                   ("update_clean", Json.Bool r.E.Fig_conns.update_clean);
-                   ("update_span_s", Json.Float r.E.Fig_conns.update_span_s);
-                   ("events", Json.Int r.E.Fig_conns.events);
-                   ("wall_s", Json.Float r.E.Fig_conns.wall_s);
-                 ] ))
-           rows)
+       (fun (cell, cols) ->
+         (cell, Json.Obj (List.map (fun (k, v) -> (k, value v)) cols)))
+       cells)
 
 let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
   let experiments_json =
@@ -862,6 +574,21 @@ let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
         in
         Json.Obj (base @ parallel)
   in
+  (* One object per figure that has a report, from the sequential pass;
+     null when the figure did not run. *)
+  let report (f : F.t) =
+    match experiments with
+    | None -> Json.Null
+    | Some (seq, _) -> (
+        match List.find_opt (fun (g, _, _) -> g == f) seq.figures with
+        | Some (_, (o : F.output), _) -> cells_json o.F.cells
+        | None -> Json.Null)
+  in
+  let reports =
+    List.filter_map
+      (fun (f : F.t) -> Option.map (fun name -> (name, report f)) f.F.report)
+      F.all
+  in
   let micro_json =
     match micro with
     | None -> Json.Null
@@ -870,33 +597,18 @@ let write_json ~path ~scale_name ~jobs ~host_cores ~experiments ~micro =
   in
   let doc =
     Json.Obj
-      [
-        ("schema", Json.String "chronus-bench/9");
-        ("scale", Json.String scale_name);
-        ("jobs", Json.Int jobs);
-        ("host_cores", Json.Int host_cores);
-        ("experiments", experiments_json);
-        ( "scale_rows",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> scale_json seq );
-        ( "prefix",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> prefix_json seq );
-        ( "service",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> service_json seq );
-        ( "conns",
-          match experiments with
-          | None -> Json.Null
-          | Some (seq, _) -> conns_json seq );
-        ("oracle_cache", oracle_cache_json ~micro);
-        ("faults", faults_json ());
-        ("metrics", metrics_json ());
-        ("microbench_ns_per_run", micro_json);
-      ]
+      ([
+         ("schema", Json.String "chronus-bench/10");
+         ("scale", Json.String scale_name);
+         ("jobs", Json.Int jobs);
+         ("host_cores", Json.Int host_cores);
+         ("experiments", experiments_json);
+       ]
+      @ reports
+      @ [
+          ("metrics", metrics_json ());
+          ("microbench_ns_per_run", micro_json);
+        ])
   in
   let oc = open_out path in
   output_string oc (Json.to_string doc);
@@ -925,56 +637,40 @@ let () =
     Array.exists (( = ) "--metrics") Sys.argv
     || Sys.getenv_opt "CHRONUS_METRICS" <> None
   in
-  (* --figures a,b,c (or --figures=a,b,c): run only those figures of the
-     experiment suite — the dev loop for a single figure without the
-     ~190 s full pass. *)
-  let figures_filter =
-    let args = Array.to_list Sys.argv in
-    let value =
-      let prefix = "--figures=" in
-      let rec scan = function
-        | [] -> None
-        | "--figures" :: v :: _ -> Some v
-        | a :: rest ->
-            if String.length a > String.length prefix
-               && String.sub a 0 (String.length prefix) = prefix
-            then
-              Some
-                (String.sub a (String.length prefix)
-                   (String.length a - String.length prefix))
-            else scan rest
-      in
-      scan args
+  (* --figures a,b,c (or --figures=a,b,c): run only those registry keys
+     — the dev loop for a single figure without the full pass. A missing
+     value is an empty selection, which [Figures.select] rejects. *)
+  let figures =
+    let rec scan = function
+      | [] -> None
+      | [ "--figures" ] -> Some ""
+      | "--figures" :: v :: _ -> Some v
+      | a :: _ when String.starts_with ~prefix:"--figures=" a ->
+          Some (String.sub a 10 (String.length a - 10))
+      | _ :: rest -> scan rest
     in
-    match value with
-    | None -> None
-    | Some v ->
-        let names =
+    match scan (List.tl (Array.to_list Sys.argv)) with
+    | None -> F.all
+    | Some v -> (
+        let keys =
           String.split_on_char ',' v
           |> List.map String.trim
           |> List.filter (fun s -> s <> "")
         in
-        List.iter
-          (fun n ->
-            if not (List.mem n figure_names) then begin
-              Printf.eprintf "unknown figure %S; valid figures:\n  %s\n%!" n
-                (String.concat "\n  " figure_names);
-              exit 2
-            end)
-          names;
-        Some names
-  in
-  let want name =
-    match figures_filter with None -> true | Some l -> List.mem name l
+        match F.select keys with
+        | Ok figures -> figures
+        | Error msg ->
+            prerr_endline msg;
+            exit 2)
   in
   let host_cores = Domain.recommended_domain_count () in
   let experiments =
     match part with
     | `Micro -> None
     | `All | `Experiments ->
-        let seq = run_suite ~jobs:1 ~want scale in
+        let seq = run_suite ~jobs:1 figures scale in
         let par =
-          if jobs > 1 then Some (run_suite ~jobs ~want scale) else None
+          if jobs > 1 then Some (run_suite ~jobs figures scale) else None
         in
         (* The two passes print identical rows; show the suite once. *)
         print_suite ~metrics (Option.value ~default:seq par);

@@ -95,11 +95,12 @@ let schedule_cmd =
 (* chronus experiment *)
 let experiment_cmd =
   let which =
+    let keys = List.map (fun f -> f.E.Figures.key) E.Figures.all in
     Arg.(
       required
       & pos 0 (some string) None
       & info [] ~docv:"EXPERIMENT"
-          ~doc:"One of: table2, fig6, fig7, fig8, fig9, fig10, fig11, robust, scale, service, conns, ablation, all.")
+          ~doc:("One of: " ^ String.concat ", " (keys @ [ "all" ]) ^ "."))
   in
   let conns_arg =
     let doc =
@@ -132,71 +133,29 @@ let experiment_cmd =
       & opt (some (list string)) None
       & info [ "topos" ] ~docv:"TOPOS" ~doc)
   in
-  let parse_topo s =
-    let num prefix =
-      let p = String.length prefix in
-      if String.length s > p && String.sub s 0 p = prefix then
-        int_of_string_opt (String.sub s p (String.length s - p))
-      else None
-    in
-    match (s, num "fat", num "wan") with
-    | "b4", _, _ -> E.Fig_scale.B4
-    | _, Some k, _ -> E.Fig_scale.Fat_tree k
-    | _, _, Some n -> E.Fig_scale.Wan n
-    | _ ->
-        invalid_arg
-          (Printf.sprintf "unknown topology %S (expected fatK, b4 or wanN)" s)
-  in
   let run which scale_name jobs metrics rates topos conns =
-    let module Obs = Chronus_obs.Obs in
     let scale = E.Scale.parse scale_name in
-    let kinds = Option.map (List.map parse_topo) topos in
+    let topos = Option.map (List.map E.Figures.parse_topo) topos in
+    let axes = { E.Figures.topos; rates; conns } in
     let jobs =
       match jobs with
       | Some j -> j
       | None -> Chronus_parallel.Pool.default_jobs ()
     in
-    let plain = function
-      | "table2" -> E.Table2.print (E.Table2.run ~jobs ())
-      | "fig6" -> E.Fig6.print (E.Fig6.run ())
-      | "fig7" -> E.Fig7.print (E.Fig7.run ~jobs ~scale ())
-      | "fig8" -> E.Fig8.print (E.Fig8.run ~jobs ~scale ())
-      | "fig9" -> E.Fig9.print (E.Fig9.run ~jobs ~scale ())
-      | "fig10" -> E.Fig10.print (E.Fig10.run ~jobs ~scale ())
-      | "fig11" -> E.Fig11.print (E.Fig11.run ~jobs ~scale ())
-      | "robust" -> E.Fig_robust.print (E.Fig_robust.run ~jobs ~scale ())
-      | "scale" -> E.Fig_scale.print (E.Fig_scale.run ~jobs ~scale ?kinds ())
-      | "service" ->
-          E.Fig_service.print (E.Fig_service.run ~jobs ~scale ?rates ())
-      | "conns" -> E.Fig_conns.print (E.Fig_conns.run ~jobs ~scale ?conns ())
-      | "ablation" -> E.Ablation.print (E.Ablation.run ~jobs ~scale ())
-      | other ->
-          invalid_arg (Printf.sprintf "unknown experiment %S" other)
-    in
-    let dispatch which =
-      if not metrics then plain which
-      else begin
-        let before = Obs.snapshot () in
-        plain which;
-        match Obs.diff before (Obs.snapshot ()) with
-        | [] -> ()
-        | snap ->
-            Printf.printf "\n-- metrics (%s) --\n" which;
-            Obs.print_table snap
-      end
-    in
-    (match which with
-    | "all" ->
+    match E.Figures.select [ which ] with
+    | Error msg ->
+        prerr_endline msg;
+        2
+    | Ok figures ->
+        let many = List.compare_length_with figures 1 > 0 in
         List.iter
-          (fun w ->
-            dispatch w;
-            print_newline ())
-          [
-            "table2"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-            "robust"; "scale"; "service"; "conns"; "ablation";
-          ]
-    | w -> dispatch w);
-    0
+          (fun f ->
+            let out, snap = E.Figures.measure f ~jobs ~scale axes in
+            out.E.Figures.print ();
+            if metrics then E.Figures.print_metrics f snap;
+            if many then print_newline ())
+          figures;
+        0
   in
   Cmd.v
     (Cmd.info "experiment"

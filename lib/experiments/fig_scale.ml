@@ -9,8 +9,8 @@ module Obs = Chronus_obs.Obs
    (k = 4..32) and B4-like WANs — with compiled-prefix base forwarding,
    and report table compression, simulator throughput, per-lookup cost,
    and end-to-end update time versus topology size. Wall-clock fields
-   are measured, so this figure (like fig10) stays out of the benchmark
-   digest; the event/rule/span columns are deterministic. *)
+   are measured, so the benchmark digest drops them (like fig10's
+   timings); the event/rule/span columns are deterministic. *)
 
 type kind = Fat_tree of int | B4 | Wan of int
 

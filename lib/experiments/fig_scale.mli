@@ -15,8 +15,8 @@
     table words, event counts and update spans are deterministic (cells
     derive their RNGs from the kind's value, so rows are bit-identical
     at any [CHRONUS_JOBS]); events/s and lookup ns are wall-clock
-    measurements, which is why this figure — like fig10 — is excluded
-    from the benchmark digest. *)
+    measurements, which is why the benchmark digest drops them — like
+    fig10's timings. *)
 
 type kind = Fat_tree of int | B4 | Wan of int
 

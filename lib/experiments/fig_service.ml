@@ -9,8 +9,8 @@ module Obs = Chronus_obs.Obs
    serialization counts plus throughput and latency percentiles versus
    the offered rate (requests per processing round). The count and
    makespan columns are deterministic at any job count; the wall-clock
-   columns (throughput, p50/p99 latency) are measured, so this figure
-   stays out of the benchmark digest like fig10 and fig-scale. *)
+   columns (throughput, p50/p99 latency) are measured, so the benchmark
+   digest drops them like fig10's timings. *)
 
 type row = {
   offered_per_round : int;
@@ -24,7 +24,7 @@ type row = {
   batches : int;  (** admission batches the service ran, all rounds *)
   full_evals : int;
       (** from-scratch oracle evaluations the cell cost (checker-pool
-          misses only); depends on pool timing, so excluded from
+          misses only); depends on pool timing, so dropped from
           determinism digests like the wall-clock columns *)
   full_evals_per_txn : float;  (** [full_evals /. max 1 committed] *)
   mean_makespan : float;  (** over committed non-trivial transactions *)

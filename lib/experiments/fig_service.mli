@@ -15,8 +15,8 @@
     at any job count, so every column except the wall-clock ones
     (throughput, p50/p99 latency) is bit-identical at any
     [CHRONUS_JOBS] — [test/suite_service.ml] asserts this, and the
-    bench report (EXPERIMENTS.md) excludes this figure from the
-    determinism digest exactly like the other wall-measured figures. *)
+    bench's determinism digest drops exactly those columns (and
+    [full_evals]), like the other wall-measured figures' timings. *)
 
 type row = {
   offered_per_round : int;  (** the x-axis: requests submitted per round *)

@@ -11,7 +11,7 @@
     two closures, [now] (the virtual clock) and [schedule] (insert an
     event at an absolute virtual time), which in this repository are
     provided by [Chronus_sim.Engine] — itself a thin loop over the
-    [Event_queue.S] seam. The event loop calls {!drain} after every
+    calendar [Event_queue]. The event loop calls {!drain} after every
     dispatched event; fibers woken by that event then run *at the same
     virtual instant*, before the next event fires. This is what lets
     the fiber rewrite of the controller channel reproduce the callback

@@ -134,7 +134,11 @@ let send t ?execute_at ?latency ?(process_delay = 0) ?(handling = Deliver)
           Fiber.Mailbox.send inbox
             { m_mod = mod_; m_handling = handling; m_ack = ack; m_applied_at = applied_at })
 
-let barrier t ~switch callback =
+(* Schedule the OFBarrierReply for [switch]: the request reaches the
+   switch after one latency leg, is processed once every command issued
+   before it has been applied, and the reply rides the return leg. [k]
+   runs at the reply's arrival, which it receives. *)
+let on_barrier_reply t ~switch k =
   let engine = Network.engine t.net in
   let request_arrival = Engine.now engine + t.latency ~switch in
   let waiting_for =
@@ -142,32 +146,29 @@ let barrier t ~switch callback =
   in
   let processed = List.fold_left max request_arrival waiting_for in
   let reply_arrival = processed + t.latency ~switch in
-  Engine.at engine reply_arrival (fun () -> callback reply_arrival)
+  Engine.at engine reply_arrival (fun () -> k reply_arrival)
 
-let barrier_all t ~switches callback =
-  match switches with
+let barrier_wait t ~switch =
+  let box = Fiber.Mailbox.create t.rt in
+  on_barrier_reply t ~switch (Fiber.Mailbox.send box);
+  Fiber.Mailbox.recv box
+
+let barrier_all_wait t ~switches =
+  let box = Fiber.Mailbox.create t.rt in
+  (match switches with
   | [] ->
       let engine = Network.engine t.net in
-      Engine.after engine 0 (fun () -> callback (Engine.now engine))
+      Engine.after engine 0 (fun () -> Fiber.Mailbox.send box (Engine.now engine))
   | _ ->
       let pending = ref (List.length switches) in
       let latest = ref 0 in
       List.iter
         (fun switch ->
-          barrier t ~switch (fun at ->
+          on_barrier_reply t ~switch (fun at ->
               latest := max !latest at;
               decr pending;
-              if !pending = 0 then callback !latest))
-        switches
-
-let barrier_wait t ~switch =
-  let box = Fiber.Mailbox.create t.rt in
-  barrier t ~switch (fun at -> Fiber.Mailbox.send box at);
-  Fiber.Mailbox.recv box
-
-let barrier_all_wait t ~switches =
-  let box = Fiber.Mailbox.create t.rt in
-  barrier_all t ~switches (fun at -> Fiber.Mailbox.send box at);
+              if !pending = 0 then Fiber.Mailbox.send box !latest))
+        switches);
   Fiber.Mailbox.recv box
 
 let commands_sent t = t.sent

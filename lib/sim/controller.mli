@@ -70,14 +70,6 @@ val send :
     command is delivered, is called when the switch's acknowledgement
     reaches the controller (one reverse latency leg after application). *)
 
-val barrier : t -> switch:int -> (Sim_time.t -> unit) -> unit
-(** Issue an OFBarrierRequest now; the callback receives the time at
-    which the OFBarrierReply reaches the controller. *)
-
-val barrier_all : t -> switches:int list -> (Sim_time.t -> unit) -> unit
-(** Barrier every listed switch; the callback fires once after the last
-    reply. *)
-
 val commands_sent : t -> int
 
 val peak_rules : t -> int
@@ -88,15 +80,18 @@ val peak_rules : t -> int
 
     The channel itself runs on [Chronus_fiber]: each switch is a fiber
     looping on an inbox, [send] is a timed mailbox delivery, and acks
-    are scheduled by the switch fiber. The waiting variants below are
-    the straight-line counterparts of {!barrier}/{!barrier_all} for
-    callers that are themselves fibers. *)
+    are scheduled by the switch fiber. Barriers suspend the calling
+    fiber, which must itself run on the network engine's runtime. *)
 
 val barrier_wait : t -> switch:int -> Sim_time.t
-(** {!barrier}, suspending the calling fiber until the reply arrives;
-    returns the reply's arrival time. The caller resumes at that
-    virtual instant, exactly where the callback would have run. *)
+(** Issue an OFBarrierRequest now and suspend the calling fiber until
+    the OFBarrierReply reaches the controller — once every command sent
+    to [switch] before the barrier has been applied, plus the return
+    leg. Returns the reply's arrival time; the caller resumes at that
+    virtual instant. *)
 
 val barrier_all_wait : t -> switches:int list -> Sim_time.t
-(** {!barrier_all}, suspending the calling fiber; returns the latest
-    reply time. *)
+(** Barrier every listed switch and suspend until the last reply;
+    returns the latest reply time. With no switches, resumes at the
+    current instant (after the events already queued for it) and
+    returns it. *)

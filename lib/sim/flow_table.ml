@@ -27,8 +27,7 @@ type rule = {
 }
 
 (* [better a b]: does [a] win a tie against [b]?  Highest priority,
-   then oldest id — the exact order the legacy list implementation
-   resolved with a fold. *)
+   then oldest id. *)
 let better a b =
   a.priority > b.priority || (a.priority = b.priority && a.id < b.id)
 
@@ -363,188 +362,3 @@ let pp ppf t =
         pp_forward r.action.forward)
     (rules t);
   Format.fprintf ppf "@]"
-
-(* ------------------------------------------------------------------ *)
-(* Baseline implementations, kept behind the same seam as differential
-   references and microbenchmark baselines.                             *)
-
-module type S = sig
-  type t
-
-  val create : unit -> t
-  val install : t -> priority:int -> dst:int -> tag_match:tag_match -> action -> rule
-  val modify_actions : t -> dst:int -> tag_match:tag_match -> action -> int
-  val remove : t -> dst:int -> tag_match:tag_match -> int
-  val lookup : t -> dst:int -> tag:int option -> rule option
-
-  type snapshot
-
-  val snapshot : t -> snapshot
-  val restore : t -> snapshot -> unit
-  val size : t -> int
-  val rules : t -> rule list
-end
-
-(* The PR-5 dst-indexed table, verbatim (minus the trie): hashtable of
-   persistent priority buckets, exact match only. *)
-module Exact : sig
-  include S
-
-  val on_size_change : t -> (int -> unit) -> unit
-end = struct
-  type table = {
-    mutable e_buckets : (int, rule list) Hashtbl.t;
-    mutable e_next_id : int;
-    mutable e_total : int;
-    mutable e_on_size_change : int -> unit;
-  }
-
-  type t = table
-
-  let create () =
-    {
-      e_buckets = Hashtbl.create 16;
-      e_next_id = 0;
-      e_total = 0;
-      e_on_size_change = ignore;
-    }
-
-  let on_size_change t f = t.e_on_size_change <- f
-
-  let bucket t dst = match Hashtbl.find_opt t.e_buckets dst with
-    | Some b -> b
-    | None -> []
-
-  let set_bucket t dst = function
-    | [] -> Hashtbl.remove t.e_buckets dst
-    | b -> Hashtbl.replace t.e_buckets dst b
-
-  let install t ~priority ~dst ~tag_match action =
-    let rule =
-      { id = t.e_next_id; priority; dst; len = addr_bits; tag_match; action }
-    in
-    t.e_next_id <- t.e_next_id + 1;
-    set_bucket t dst (insert_sorted rule (bucket t dst));
-    t.e_total <- t.e_total + 1;
-    t.e_on_size_change 1;
-    rule
-
-  let modify_actions t ~dst ~tag_match action =
-    let changed = ref 0 in
-    let b =
-      List.map
-        (fun r ->
-          if r.tag_match = tag_match then begin
-            incr changed;
-            { r with action }
-          end
-          else r)
-        (bucket t dst)
-    in
-    if !changed > 0 then set_bucket t dst b;
-    !changed
-
-  let remove t ~dst ~tag_match =
-    let removed = ref 0 in
-    let b =
-      List.filter
-        (fun r ->
-          if r.tag_match = tag_match then begin
-            incr removed;
-            false
-          end
-          else true)
-        (bucket t dst)
-    in
-    if !removed > 0 then begin
-      set_bucket t dst b;
-      t.e_total <- t.e_total - !removed;
-      t.e_on_size_change (- !removed)
-    end;
-    !removed
-
-  let lookup t ~dst ~tag = first_tag_ok tag (bucket t dst)
-
-  type snapshot = { s_buckets : (int, rule list) Hashtbl.t; s_total : int }
-
-  let snapshot t = { s_buckets = Hashtbl.copy t.e_buckets; s_total = t.e_total }
-
-  let restore t s =
-    let delta = s.s_total - t.e_total in
-    t.e_buckets <- Hashtbl.copy s.s_buckets;
-    t.e_total <- s.s_total;
-    if delta <> 0 then t.e_on_size_change delta
-
-  let size t = t.e_total
-
-  let rules t =
-    sort_rules
-      (Hashtbl.fold (fun _ b acc -> List.rev_append b acc) t.e_buckets [])
-end
-
-let same_match rule ~dst ~tag_match = rule.dst = dst && rule.tag_match = tag_match
-
-(* The seed list implementation, kept verbatim (modulo the single-pass
-   [remove]) as the reference model for the QCheck differential suite
-   and the microbenchmark baseline. *)
-module Legacy : S = struct
-  type table = { mutable l_rules : rule list; mutable l_next_id : int }
-  type t = table
-
-  let create () = { l_rules = []; l_next_id = 0 }
-
-  let install t ~priority ~dst ~tag_match action =
-    let rule =
-      { id = t.l_next_id; priority; dst; len = addr_bits; tag_match; action }
-    in
-    t.l_next_id <- t.l_next_id + 1;
-    t.l_rules <- rule :: t.l_rules;
-    rule
-
-  let modify_actions t ~dst ~tag_match action =
-    let changed = ref 0 in
-    t.l_rules <-
-      List.map
-        (fun r ->
-          if same_match r ~dst ~tag_match then begin
-            incr changed;
-            { r with action }
-          end
-          else r)
-        t.l_rules;
-    !changed
-
-  let remove t ~dst ~tag_match =
-    let removed = ref 0 in
-    t.l_rules <-
-      List.filter
-        (fun r ->
-          if same_match r ~dst ~tag_match then begin
-            incr removed;
-            false
-          end
-          else true)
-        t.l_rules;
-    !removed
-
-  let lookup t ~dst ~tag =
-    let candidates =
-      List.filter (fun r -> r.dst = dst && tag_ok r.tag_match tag) t.l_rules
-    in
-    List.fold_left
-      (fun best r ->
-        match best with
-        | None -> Some r
-        | Some b -> if better r b then Some r else best)
-      None candidates
-
-  type snapshot = rule list
-
-  let snapshot t = t.l_rules
-
-  let restore t s = t.l_rules <- s
-
-  let size t = List.length t.l_rules
-
-  let rules t = sort_rules t.l_rules
-end

@@ -114,37 +114,3 @@ val on_size_change : t -> (int -> unit) -> unit
     without rescanning every switch. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** The operations shared by all three implementations — the seam the
-    differential suites test across. *)
-module type S = sig
-  type t
-
-  val create : unit -> t
-  val install : t -> priority:int -> dst:int -> tag_match:tag_match -> action -> rule
-  val modify_actions : t -> dst:int -> tag_match:tag_match -> action -> int
-  val remove : t -> dst:int -> tag_match:tag_match -> int
-  val lookup : t -> dst:int -> tag:int option -> rule option
-
-  type snapshot
-
-  val snapshot : t -> snapshot
-  val restore : t -> snapshot -> unit
-  val size : t -> int
-  val rules : t -> rule list
-end
-
-(** The PR-5 dst-indexed exact-match table, retained behind the seam as
-    a differential baseline: identical semantics to the main table when
-    no prefix rules are installed. *)
-module Exact : sig
-  include S
-
-  val on_size_change : t -> (int -> unit) -> unit
-end
-
-(** The seed list-based implementation, retained as the reference model
-    for differential tests and as the microbenchmark baseline. Semantics
-    are identical to the indexed table (same tie-breaks, same monotone
-    ids); complexity is O(rules) per operation. *)
-module Legacy : S

@@ -1,12 +1,12 @@
 (* Differential suite: the calendar event queue against the seed binary
-   heap. On any interleaving of pushes and pops — including adversarial
+   heap model ([Model_event_queue]). On any interleaving of pushes and pops — including adversarial
    time distributions: duplicates, dense clusters, year-wide gaps,
    pushes into the past — both queues must dispatch the same events at
    the same times in the same order (FIFO within a timestamp). *)
 
 open Chronus_sim
-module C = Event_queue.Calendar
-module H = Event_queue.Heap
+module C = Event_queue
+module H = Model_event_queue
 module Rng = Chronus_topo.Rng
 
 (* Times drawn from a mix of regimes so the calendar exercises in-day

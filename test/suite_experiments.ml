@@ -104,6 +104,51 @@ let test_table2 () =
   Alcotest.(check bool) "steady state has no version-2 rule" true
     (not (has r.E.Table2.source_before "tag 2"))
 
+let keys figures = List.map (fun f -> f.E.Figures.key) figures
+
+let test_figures_select () =
+  let all = keys E.Figures.all in
+  Alcotest.(check (list string)) "registry order, duplicates dropped"
+    [ "fig7"; "scale" ]
+    (match E.Figures.select [ "scale"; "fig7"; "scale" ] with
+    | Ok figures -> keys figures
+    | Error msg -> Alcotest.fail msg);
+  Alcotest.(check (list string)) "all" all
+    (match E.Figures.select [ "all" ] with
+    | Ok figures -> keys figures
+    | Error msg -> Alcotest.fail msg);
+  let rejects what names =
+    match E.Figures.select names with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error msg ->
+        (* The error lists every valid key. *)
+        List.iter
+          (fun k ->
+            let m = String.length k and n = String.length msg in
+            let rec has i = i + m <= n && (String.sub msg i m = k || has (i + 1)) in
+            if not (has 0) then Alcotest.failf "%s: %S omits %s" what msg k)
+          all
+  in
+  rejects "empty selection" [];
+  rejects "unknown key" [ "fig7"; "fig99" ];
+  rejects "a title instead of a key" [ E.Fig7.name ]
+
+(* Every registry entry's deterministic projection is byte-identical at
+   jobs=1 and jobs=2 — the property the bench digest relies on. *)
+let test_figures_det () =
+  let unique l = List.length (List.sort_uniq compare l) = List.length l in
+  Alcotest.(check bool) "keys unique" true (unique (keys E.Figures.all));
+  Alcotest.(check bool) "titles unique" true
+    (unique (List.map (fun f -> f.E.Figures.title) E.Figures.all));
+  List.iter
+    (fun (f : E.Figures.t) ->
+      let det jobs =
+        (f.E.Figures.run ~jobs ~scale:tiny E.Figures.default_axes).E.Figures.det
+      in
+      Alcotest.(check bool) (f.E.Figures.key ^ " det at jobs 1 = 2") true
+        (String.equal (det 1) (det 2)))
+    E.Figures.all
+
 let suite =
   ( "experiments",
     [
@@ -116,4 +161,7 @@ let suite =
       Alcotest.test_case "fig11 pipeline" `Slow test_fig11_pipeline;
       Alcotest.test_case "fig6 pipeline" `Slow test_fig6_pipeline;
       Alcotest.test_case "table2" `Quick test_table2;
+      Alcotest.test_case "figure registry select" `Quick test_figures_select;
+      Alcotest.test_case "figure registry det at any jobs" `Slow
+        test_figures_det;
     ] )

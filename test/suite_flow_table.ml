@@ -1,16 +1,14 @@
-(* Differential suite: the prefix-capable Flow_table against the
-   dst-indexed exact table and the legacy list implementation behind the
-   same seam. Random operation sequences — installs, modifies, removes,
-   snapshots, crash-restarts — must leave all three structures in states
-   that agree exactly: same sizes, same counts returned, same
-   (priority, id) tie-breaks on every lookup, same [rules] listing. A
-   second differential pits the longest-prefix trie against a naive
-   scan-all-rules model. *)
+(* Differential suite: the prefix-capable Flow_table against the seed
+   list implementation ([Model_flow_table]). Random operation sequences
+   — installs, modifies, removes, snapshots, crash-restarts — must leave
+   both structures in states that agree exactly: same sizes, same counts
+   returned, same (priority, id) tie-breaks on every lookup, same
+   [rules] listing. A second differential pits the longest-prefix trie
+   against a naive scan-all-rules model. *)
 
 open Chronus_sim
 module FT = Flow_table
-module X = Flow_table.Exact
-module L = Flow_table.Legacy
+module L = Model_flow_table
 
 let n_dsts = 5
 let tags = [ FT.Any_tag; FT.Tag 1; FT.Tag 2 ]
@@ -19,28 +17,23 @@ let queries = [ None; Some 1; Some 2; Some 3 ]
 let rule_pp (r : FT.rule) =
   Printf.sprintf "{id=%d; prio=%d; dst=%d}" r.FT.id r.FT.priority r.FT.dst
 
-let agree t x l =
-  if FT.size t <> L.size l || X.size x <> L.size l then
-    failwith "size mismatch";
-  let rt = FT.rules t and rx = X.rules x and rl = L.rules l in
-  if rt <> rl || rx <> rl then
+let agree t l =
+  if FT.size t <> L.size l then failwith "size mismatch";
+  let rt = FT.rules t and rl = L.rules l in
+  if rt <> rl then
     failwith
-      (Printf.sprintf "rules mismatch: [%s] vs [%s] vs [%s]"
+      (Printf.sprintf "rules mismatch: [%s] vs [%s]"
          (String.concat ";" (List.map rule_pp rt))
-         (String.concat ";" (List.map rule_pp rx))
          (String.concat ";" (List.map rule_pp rl)));
   for dst = 0 to n_dsts - 1 do
     List.iter
       (fun tag ->
-        let a = FT.lookup t ~dst ~tag
-        and b = L.lookup l ~dst ~tag
-        and c = X.lookup x ~dst ~tag in
-        if a <> b || c <> b then
+        let a = FT.lookup t ~dst ~tag and b = L.lookup l ~dst ~tag in
+        if a <> b then
           failwith
-            (Printf.sprintf "lookup dst=%d tag=%s: %s vs %s vs %s" dst
+            (Printf.sprintf "lookup dst=%d tag=%s: %s vs %s" dst
                (match tag with None -> "-" | Some v -> string_of_int v)
                (match a with None -> "none" | Some r -> rule_pp r)
-               (match c with None -> "none" | Some r -> rule_pp r)
                (match b with None -> "none" | Some r -> rule_pp r)))
       queries
   done
@@ -58,11 +51,11 @@ let random_action rng =
       | _ -> FT.Drop);
   }
 
-(* One differential run from a seed: all three tables see the identical
+(* One differential run from a seed: both tables see the identical
    operation sequence; any state divergence raises. *)
 let run_ops seed =
   let rng = Chronus_topo.Rng.derive seed [ 81 ] in
-  let t = FT.create () and x = X.create () and l = L.create () in
+  let t = FT.create () and l = L.create () in
   let snaps = ref [] in
   for _ = 1 to 120 do
     let dst = Chronus_topo.Rng.int rng n_dsts in
@@ -72,37 +65,33 @@ let run_ops seed =
         let priority = Chronus_topo.Rng.int rng 3 in
         let action = random_action rng in
         let a = FT.install t ~priority ~dst ~tag_match action in
-        let c = X.install x ~priority ~dst ~tag_match action in
         let b = L.install l ~priority ~dst ~tag_match action in
-        if a <> b || c <> b then failwith "install returned different rules"
+        if a <> b then failwith "install returned different rules"
     | 4 ->
         let action = random_action rng in
         let a = FT.modify_actions t ~dst ~tag_match action in
-        let c = X.modify_actions x ~dst ~tag_match action in
         let b = L.modify_actions l ~dst ~tag_match action in
-        if a <> b || c <> b then failwith "modify_actions count mismatch"
+        if a <> b then failwith "modify_actions count mismatch"
     | 5 ->
         let a = FT.remove t ~dst ~tag_match in
-        let c = X.remove x ~dst ~tag_match in
         let b = L.remove l ~dst ~tag_match in
-        if a <> b || c <> b then failwith "remove count mismatch"
-    | 6 -> snaps := (FT.snapshot t, X.snapshot x, L.snapshot l) :: !snaps
+        if a <> b then failwith "remove count mismatch"
+    | 6 -> snaps := (FT.snapshot t, L.snapshot l) :: !snaps
     | _ -> (
-        (* Crash-restart: all revert to the same persisted state; ids
-           installed afterwards must stay younger on every side. *)
+        (* Crash-restart: both revert to the same persisted state; ids
+           installed afterwards must stay younger on both sides. *)
         match !snaps with
         | [] -> ()
-        | (st, sx, sl) :: _ ->
+        | (st, sl) :: _ ->
             FT.restore t st;
-            X.restore x sx;
             L.restore l sl));
-    agree t x l
+    agree t l
   done;
   true
 
 let differential =
   QCheck.Test.make ~count:80
-    ~name:"prefix table = exact table = legacy list on random exact ops"
+    ~name:"prefix table = legacy list model on random exact ops"
     QCheck.small_nat run_ops
 
 (* ------------------------------------------------------------------ *)
@@ -216,8 +205,8 @@ let prefix_differential =
     ~name:"longest-prefix trie = naive scan model on random prefix ops"
     QCheck.small_nat run_prefix_ops
 
-(* The satellite fix: remove must report the number of removed rules
-   (single pass), on both implementations. *)
+(* Remove must report the number of removed rules (single pass), on the
+   table and the model alike. *)
 let test_remove_count () =
   let act = { FT.set_tag = None; forward = FT.To_host } in
   let t = FT.create () and l = L.create () in

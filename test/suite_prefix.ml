@@ -111,6 +111,9 @@ let test_core_switch_compression () =
    every address is unique, carries the marker bit, and stays disjoint
    from raw switch ids. *)
 let test_addressing_layout () =
+  (* The address width is part of the table format: compiled prefixes,
+     host addresses and the 16-bit layout all assume it. *)
+  Alcotest.(check int) "Flow_table.addr_bits = 16" 16 FT.addr_bits;
   Alcotest.(check int) "Addressing.width = Flow_table.addr_bits"
     FT.addr_bits Addressing.width;
   List.iter

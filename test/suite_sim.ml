@@ -217,13 +217,30 @@ let test_controller_barrier () =
   let stamp = Sim_time.sec 1 in
   Controller.send ctrl ~execute_at:stamp ~switch:1
     (Controller.Remove { dst = 2; tag_match = Flow_table.Any_tag });
-  let reply = ref 0 in
-  Controller.barrier ctrl ~switch:1 (fun at -> reply := at);
+  let rt = Engine.fiber_runtime e in
+  let barrier =
+    Chronus_fiber.Fiber.spawn_root rt (fun () ->
+        let at = Controller.barrier_wait ctrl ~switch:1 in
+        (at, Engine.now e))
+  in
+  (* With no switches to wait for, the fiber resumes at the current
+     instant. *)
+  let empty =
+    Chronus_fiber.Fiber.spawn_root rt (fun () ->
+        Controller.barrier_all_wait ctrl ~switches:[])
+  in
   Engine.run e;
   (* The barrier reply waits for the timed command to be applied. *)
-  Alcotest.(check int) "reply after execution + return leg"
-    (stamp + Sim_time.msec 10)
-    !reply
+  (match Chronus_fiber.Fiber.poll barrier with
+  | Some (Ok (reply, resumed)) ->
+      Alcotest.(check int) "reply after execution + return leg"
+        (stamp + Sim_time.msec 10)
+        reply;
+      Alcotest.(check int) "fiber resumes at the reply" reply resumed
+  | _ -> Alcotest.fail "barrier fiber did not finish");
+  match Chronus_fiber.Fiber.poll empty with
+  | Some (Ok at) -> Alcotest.(check int) "empty barrier returns now" 0 at
+  | _ -> Alcotest.fail "empty barrier fiber did not finish"
 
 let test_monitor_series () =
   let e, net = mini_net () in
