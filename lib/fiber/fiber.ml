@@ -9,28 +9,47 @@ type time = int
 
 exception Cancelled
 
+let nop () = ()
+
 type runtime = {
   rt_now : unit -> time;
   rt_schedule : time -> (unit -> unit) -> unit;
   mutable next_id : int;
-  (* The two-batch ready queue: [current] is being drained (already
-     sorted by fiber id), [batch] collects wakeups in reverse push
-     order until [current] empties. *)
-  mutable current : (int * (unit -> unit)) list;
-  mutable batch : (int * (unit -> unit)) list;
+  (* The two-batch ready queue, as parallel growable arrays of fiber
+     ids and resume thunks. [cur_*] is being drained from [cur_pos]
+     (already sorted by id); [bat_*] collects wakeups in push order
+     until the running batch empties, and [bat_sorted] records whether
+     they arrived in id order, so a sort runs only when needed. A slot
+     forgets its thunk once taken. *)
+  mutable cur_ids : int array;
+  mutable cur_fns : (unit -> unit) array;
+  mutable cur_pos : int;
+  mutable cur_len : int;
+  mutable bat_ids : int array;
+  mutable bat_fns : (unit -> unit) array;
+  mutable bat_len : int;
+  mutable bat_sorted : bool;
   mutable draining : bool;
   mutable live : int;
   mutable peak_live : int;
   mutable spawned_total : int;
 }
 
+let initial_ready = 64
+
 let runtime ~now ~schedule =
   {
     rt_now = now;
     rt_schedule = schedule;
     next_id = 0;
-    current = [];
-    batch = [];
+    cur_ids = Array.make initial_ready 0;
+    cur_fns = Array.make initial_ready nop;
+    cur_pos = 0;
+    cur_len = 0;
+    bat_ids = Array.make initial_ready 0;
+    bat_fns = Array.make initial_ready nop;
+    bat_len = 0;
+    bat_sorted = true;
     draining = false;
     live = 0;
     peak_live = 0;
@@ -42,70 +61,164 @@ type stats = { spawned : int; live : int; peak_live : int }
 let stats rt =
   { spawned = rt.spawned_total; live = rt.live; peak_live = rt.peak_live }
 
-let enqueue rt id thunk = rt.batch <- (id, thunk) :: rt.batch
+let enqueue rt id thunk =
+  let n = rt.bat_len in
+  if n = Array.length rt.bat_ids then begin
+    let ids = Array.make (2 * n) 0 and fns = Array.make (2 * n) nop in
+    Array.blit rt.bat_ids 0 ids 0 n;
+    Array.blit rt.bat_fns 0 fns 0 n;
+    rt.bat_ids <- ids;
+    rt.bat_fns <- fns
+  end;
+  if n > 0 && id < rt.bat_ids.(n - 1) then rt.bat_sorted <- false;
+  rt.bat_ids.(n) <- id;
+  rt.bat_fns.(n) <- thunk;
+  rt.bat_len <- n + 1
+
+(* The pending batch becomes the running one; the spent running arrays
+   (every slot already cleared) collect the next batch. Stable, so
+   several wakeups of one fiber would keep push order. *)
+let promote rt =
+  let n = rt.bat_len in
+  let ids = rt.bat_ids and fns = rt.bat_fns in
+  rt.bat_ids <- rt.cur_ids;
+  rt.bat_fns <- rt.cur_fns;
+  rt.bat_len <- 0;
+  if rt.bat_sorted then begin
+    rt.cur_ids <- ids;
+    rt.cur_fns <- fns
+  end
+  else begin
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare ids.(a) ids.(b)) perm;
+    if Array.length rt.bat_ids < n then begin
+      rt.bat_ids <- Array.make (Array.length ids) 0;
+      rt.bat_fns <- Array.make (Array.length ids) nop
+    end;
+    (* Permute into the spare arrays, which become the running batch;
+       the unsorted ones are cleared and take over as the spare. *)
+    let ids' = rt.bat_ids and fns' = rt.bat_fns in
+    Array.iteri
+      (fun j p ->
+        ids'.(j) <- ids.(p);
+        fns'.(j) <- fns.(p))
+      perm;
+    Array.fill fns 0 n nop;
+    rt.cur_ids <- ids';
+    rt.cur_fns <- fns';
+    rt.bat_ids <- ids;
+    rt.bat_fns <- fns;
+    rt.bat_sorted <- true
+  end;
+  rt.cur_pos <- 0;
+  rt.cur_len <- n
+
+let run_ready rt =
+  while
+    rt.cur_pos < rt.cur_len
+    || (rt.bat_len > 0 && (promote rt; true))
+  do
+    let i = rt.cur_pos in
+    let thunk = rt.cur_fns.(i) in
+    rt.cur_fns.(i) <- nop;
+    rt.cur_pos <- i + 1;
+    Obs.Counter.incr c_switches;
+    thunk ()
+  done
 
 let drain rt =
-  if not rt.draining then begin
+  if (not rt.draining) && (rt.cur_pos < rt.cur_len || rt.bat_len > 0) then begin
     rt.draining <- true;
-    Fun.protect ~finally:(fun () -> rt.draining <- false) @@ fun () ->
-    let rec loop () =
-      match rt.current with
-      | (_, thunk) :: rest ->
-          rt.current <- rest;
-          Obs.Counter.incr c_switches;
-          thunk ();
-          loop ()
-      | [] ->
-          if rt.batch <> [] then begin
-            (* Stable, so several wakeups of one fiber (they cannot all
-               resume it, only the first live one does) keep push order. *)
-            rt.current <-
-              List.stable_sort
-                (fun (a, _) (b, _) -> Int.compare a b)
-                (List.rev rt.batch);
-            rt.batch <- [];
-            loop ()
-          end
-    in
-    loop ()
+    match run_ready rt with
+    | () -> rt.draining <- false
+    | exception e ->
+        rt.draining <- false;
+        raise e
   end
 
-(* A fiber's completion state. Waiters are stored LIFO and notified in
-   registration order; each notification just enqueues a resume, so the
-   ready queue's id sort decides actual wake order. *)
-type 'a state = Running of (unit -> unit) list | Finished of ('a, exn) result
+(* A fiber's completion state. Joiners are stored LIFO and woken in
+   registration order; each wake just enqueues a resume, so the ready
+   queue's id sort decides actual wake order. *)
+type 'a state = Running of 'a joiner list | Finished of ('a, exn) result
 
-type 'a t = {
+(* A suspension point is identified by its fiber's [gen] stamp at the
+   time it parked. Every way out of it — wake, timeout, delivery,
+   cancel — checks the stamp and bumps it when it fires, so at most one
+   of them resumes the fiber and the others find a stale stamp. *)
+and 'a t = {
   fid : int;
   frt : runtime;
   mutable state : 'a state;
   mutable cancel_requested : bool;
-  (* When suspended, how to break out of the suspension with
-     [Cancelled]; the suspension's own waker is disarmed by the shared
-     [fired] cell. *)
-  mutable interrupt : (unit -> unit) option;
+  mutable gen : int;
+  (* The continuation of the current suspension while no wake has fired
+     for it, so that {!cancel} can break it with [Cancelled]. *)
+  mutable parked : parked;
   mutable children : packed list;
 }
 
+and parked = Not_parked | Parked : ('v, unit) Effect.Deep.continuation -> parked
 and packed = Packed : 'a t -> packed
+
+(* A fiber blocked in [wait]/[wait_until] on a target of type ['a]. *)
+and 'a joiner =
+  | Joiner : {
+      j_fb : 'b t;
+      j_gen : int;
+      j_k : (('a, exn) result option, unit) Effect.Deep.continuation;
+    }
+      -> 'a joiner
+
+(* Receivers queue FIFO as an intrusive list threaded through
+   [w_next]. *)
+type 'a waiter =
+  | No_waiter
+  | Waiter : {
+      w_fb : 'b t;
+      w_gen : int;
+      w_k : ('a option, unit) Effect.Deep.continuation;
+      mutable w_next : 'a waiter;
+    }
+      -> 'a waiter
 
 type 'a mailbox = {
   mb_q : 'a Queue.t;
-  mutable mb_waiters : 'a waiter list; (* FIFO: appended at the tail *)
+  mutable mb_head : 'a waiter;
+  mutable mb_tail : 'a waiter;
 }
 
-and 'a waiter = { w_fired : bool ref; w_deliver : 'a -> unit }
-
+(* [Wait] and [Recv] carry an optional deadline and resume with an
+   option; the unbounded variants never see [None]. *)
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Now : time Effect.t
   | Self_runtime : runtime Effect.t
   | Spawn : (unit -> 'a) -> 'a t Effect.t
-  | Wait : 'a t -> ('a, exn) result Effect.t
-  | Wait_until : time * 'a t -> ('a, exn) result option Effect.t
+  | Wait : time option * 'a t -> ('a, exn) result option Effect.t
   | Sleep_until : time -> unit Effect.t
-  | Recv : 'a mailbox -> 'a Effect.t
-  | Recv_until : time * 'a mailbox -> 'a option Effect.t
+  | Recv : time option * 'a mailbox -> 'a option Effect.t
+
+(* Every resume path funnels here: surface a cancellation requested
+   while ready. *)
+let resume fb k v =
+  if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
+  else Effect.Deep.continue k v
+
+(* Park [fb] on [k]; the returned stamp identifies this suspension. *)
+let park fb k =
+  fb.parked <- Parked k;
+  fb.gen
+
+(* End the current suspension (the caller has checked its stamp) and
+   make [fb] ready with [thunk]. *)
+let wake fb thunk =
+  fb.gen <- fb.gen + 1;
+  fb.parked <- Not_parked;
+  enqueue fb.frt fb.fid thunk
+
+let wake_at deadline fb g k v =
+  fb.frt.rt_schedule deadline (fun () ->
+      if fb.gen = g then wake fb (fun () -> resume fb k v))
 
 let rec spawn_on : type a. runtime -> packed option -> (unit -> a) -> a t =
  fun rt parent body ->
@@ -121,7 +234,8 @@ let rec spawn_on : type a. runtime -> packed option -> (unit -> a) -> a t =
       frt = rt;
       state = Running [];
       cancel_requested = false;
-      interrupt = None;
+      gen = 0;
+      parked = Not_parked;
       children = [];
     }
   in
@@ -146,35 +260,14 @@ and finish : type a. a t -> (a, exn) result -> unit =
  fun fb r ->
   match fb.state with
   | Finished _ -> ()
-  | Running waiters ->
+  | Running joiners ->
       fb.state <- Finished r;
       fb.frt.live <- fb.frt.live - 1;
-      List.iter (fun w -> w ()) (List.rev waiters)
-
-(* Every resume path funnels here: clear the interrupt (the suspension
-   is over) and surface a cancellation requested while ready. *)
-and resume : type a v. a t -> (v, unit) Effect.Deep.continuation -> v -> unit =
- fun fb k v ->
-  fb.interrupt <- None;
-  if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
-  else Effect.Deep.continue k v
-
-and resume_cancelled :
-      type a v. a t -> (v, unit) Effect.Deep.continuation -> unit =
- fun fb k ->
-  fb.interrupt <- None;
-  Effect.Deep.discontinue k Cancelled
-
-and arm : type a v. a t -> bool ref -> (v, unit) Effect.Deep.continuation -> unit
-    =
- fun fb fired k ->
-  fb.interrupt <-
-    Some
-      (fun () ->
-        if not !fired then begin
-          fired := true;
-          enqueue fb.frt fb.fid (fun () -> resume_cancelled fb k)
-        end)
+      List.iter
+        (fun (Joiner j) ->
+          if j.j_fb.gen = j.j_gen then
+            wake j.j_fb (fun () -> resume j.j_fb j.j_k (Some r)))
+        (List.rev joiners)
 
 and handle :
       type a b. a t -> b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option
@@ -194,109 +287,40 @@ and handle :
         (fun k ->
           if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
           else Effect.Deep.continue k (spawn_on rt (Some (Packed fb)) body))
-  | Wait target ->
-      Some
-        (fun k ->
-          if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
-          else begin
-            match target.state with
-            | Finished r -> Effect.Deep.continue k r
-            | Running waiters ->
-                let fired = ref false in
-                arm fb fired k;
-                let wake () =
-                  if not !fired then begin
-                    fired := true;
-                    enqueue rt fb.fid (fun () ->
-                        match target.state with
-                        | Finished r -> resume fb k r
-                        | Running _ -> assert false)
-                  end
-                in
-                target.state <- Running (wake :: waiters)
-          end)
-  | Wait_until (deadline, target) ->
+  | Wait (deadline, target) ->
       Some
         (fun k ->
           if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
           else begin
             match target.state with
             | Finished r -> Effect.Deep.continue k (Some r)
-            | Running waiters ->
-                let fired = ref false in
-                arm fb fired k;
-                let wake () =
-                  if not !fired then begin
-                    fired := true;
-                    enqueue rt fb.fid (fun () ->
-                        match target.state with
-                        | Finished r -> resume fb k (Some r)
-                        | Running _ -> assert false)
-                  end
-                in
-                target.state <- Running (wake :: waiters);
-                rt.rt_schedule deadline (fun () ->
-                    if not !fired then begin
-                      fired := true;
-                      enqueue rt fb.fid (fun () -> resume fb k None)
-                    end)
+            | Running joiners ->
+                let g = park fb k in
+                target.state <-
+                  Running (Joiner { j_fb = fb; j_gen = g; j_k = k } :: joiners);
+                match deadline with
+                | Some d -> wake_at d fb g k None
+                | None -> ()
           end)
   | Sleep_until deadline ->
       Some
         (fun k ->
           if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
-          else begin
-            let fired = ref false in
-            arm fb fired k;
-            rt.rt_schedule deadline (fun () ->
-                if not !fired then begin
-                  fired := true;
-                  enqueue rt fb.fid (fun () -> resume fb k ())
-                end)
-          end)
-  | Recv mb ->
-      Some
-        (fun k ->
-          if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
-          else if not (Queue.is_empty mb.mb_q) then
-            Effect.Deep.continue k (Queue.pop mb.mb_q)
-          else begin
-            let fired = ref false in
-            arm fb fired k;
-            mb.mb_waiters <-
-              mb.mb_waiters
-              @ [
-                  {
-                    w_fired = fired;
-                    w_deliver =
-                      (fun v -> enqueue rt fb.fid (fun () -> resume fb k v));
-                  };
-                ]
-          end)
-  | Recv_until (deadline, mb) ->
+          else wake_at deadline fb (park fb k) k ())
+  | Recv (deadline, mb) ->
       Some
         (fun k ->
           if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
           else if not (Queue.is_empty mb.mb_q) then
             Effect.Deep.continue k (Some (Queue.pop mb.mb_q))
           else begin
-            let fired = ref false in
-            arm fb fired k;
-            mb.mb_waiters <-
-              mb.mb_waiters
-              @ [
-                  {
-                    w_fired = fired;
-                    w_deliver =
-                      (fun v ->
-                        enqueue rt fb.fid (fun () -> resume fb k (Some v)));
-                  };
-                ];
-            rt.rt_schedule deadline (fun () ->
-                if not !fired then begin
-                  fired := true;
-                  enqueue rt fb.fid (fun () -> resume fb k None)
-                end)
+            let g = park fb k in
+            let w = Waiter { w_fb = fb; w_gen = g; w_k = k; w_next = No_waiter } in
+            (match mb.mb_tail with
+            | No_waiter -> mb.mb_head <- w
+            | Waiter last -> last.w_next <- w);
+            mb.mb_tail <- w;
+            match deadline with Some d -> wake_at d fb g k None | None -> ()
           end)
   | _ -> None
 
@@ -309,11 +333,9 @@ let rec cancel : type a. a t -> unit =
         fb.cancel_requested <- true;
         Obs.Counter.incr c_cancels;
         List.iter (fun (Packed c) -> cancel c) fb.children;
-        match fb.interrupt with
-        | Some f ->
-            fb.interrupt <- None;
-            f ()
-        | None -> ()
+        match fb.parked with
+        | Parked k -> wake fb (fun () -> Effect.Deep.discontinue k Cancelled)
+        | Not_parked -> ()
       end
 
 let spawn_root rt body = spawn_on rt None body
@@ -322,9 +344,14 @@ let yield () = Effect.perform Yield
 let now () = Effect.perform Now
 let self_runtime () = Effect.perform Self_runtime
 let id fb = fb.fid
-let wait fb = Effect.perform (Wait fb)
+
+let wait fb =
+  match Effect.perform (Wait (None, fb)) with
+  | Some r -> r
+  | None -> assert false
+
 let join fb = match wait fb with Ok v -> v | Error e -> raise e
-let wait_until ~deadline fb = Effect.perform (Wait_until (deadline, fb))
+let wait_until ~deadline fb = Effect.perform (Wait (Some deadline, fb))
 let poll fb = match fb.state with Finished r -> Some r | Running _ -> None
 let sleep_until t = Effect.perform (Sleep_until t)
 let sleep d = sleep_until (now () + max 0 d)
@@ -341,29 +368,30 @@ let timeout_at deadline body =
 module Mailbox = struct
   type 'a t = 'a mailbox
 
-  let create (_ : runtime) = { mb_q = Queue.create (); mb_waiters = [] }
+  let create (_ : runtime) =
+    { mb_q = Queue.create (); mb_head = No_waiter; mb_tail = No_waiter }
 
-  let send mb v =
-    (* Hand to the longest-waiting receiver that has not already been
-       woken by a timeout or cancellation; dead waiters are dropped as
-       they are skipped. *)
-    let rec deliver = function
-      | [] ->
-          mb.mb_waiters <- [];
-          Queue.push v mb.mb_q;
-          Obs.Gauge.observe g_mailbox_depth (Queue.length mb.mb_q)
-      | w :: rest ->
-          if !(w.w_fired) then deliver rest
-          else begin
-            mb.mb_waiters <- rest;
-            w.w_fired := true;
-            w.w_deliver v
-          end
-    in
-    deliver mb.mb_waiters
+  (* Hand to the longest-waiting receiver that has not already been
+     woken by a timeout or cancellation; dead waiters are dropped as
+     they are skipped. *)
+  let rec send mb v =
+    match mb.mb_head with
+    | No_waiter ->
+        Queue.push v mb.mb_q;
+        Obs.Gauge.observe g_mailbox_depth (Queue.length mb.mb_q)
+    | Waiter w ->
+        mb.mb_head <- w.w_next;
+        if w.w_next == No_waiter then mb.mb_tail <- No_waiter;
+        if w.w_fb.gen = w.w_gen then
+          wake w.w_fb (fun () -> resume w.w_fb w.w_k (Some v))
+        else send mb v
 
-  let recv mb = Effect.perform (Recv mb)
-  let recv_until ~deadline mb = Effect.perform (Recv_until (deadline, mb))
+  let recv mb =
+    match Effect.perform (Recv (None, mb)) with
+    | Some v -> v
+    | None -> assert false
+
+  let recv_until ~deadline mb = Effect.perform (Recv (Some deadline, mb))
 
   let try_recv mb =
     if Queue.is_empty mb.mb_q then None else Some (Queue.pop mb.mb_q)

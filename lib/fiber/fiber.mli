@@ -17,13 +17,22 @@
     the fiber rewrite of the controller channel reproduce the callback
     implementation's digests bit-for-bit.
 
-    {b Scheduling discipline.} The ready queue is two batches. Wakeups
-    (spawns, mailbox sends, timer fires) enqueue into the pending
-    batch; when the running batch empties, the pending batch is sorted
-    by fiber id (stable, so repeated wakeups of one fiber keep their
-    order) and becomes the running batch. A {!yield} therefore lets
-    every other ready fiber run once before the yielder resumes —
-    starvation-free and deterministic.
+    {b Scheduling discipline.} The ready queue is two batches, kept in
+    growable arrays of fiber ids and resume thunks. Wakeups (spawns,
+    mailbox sends, timer fires) append to the pending batch; when the
+    running batch empties, the pending batch becomes the running batch,
+    sorted by fiber id if it arrived out of id order (stable, so
+    repeated wakeups of one fiber would keep their order). A {!yield}
+    therefore lets every other ready fiber run once before the yielder
+    resumes — starvation-free and deterministic.
+
+    A suspended fiber keeps its continuation in its own record, stamped
+    with a per-fiber generation number. Each way out of a suspension —
+    a wake, a timeout, a mailbox delivery, a cancel — fires only while
+    the stamp still matches and bumps it when it does, so a fiber
+    resumes exactly once per suspension, by whichever of them the event
+    order reaches first; the others find a stale stamp and do
+    nothing.
 
     {b Cancellation is structured.} {!cancel} marks the fiber and every
     fiber it spawned (transitively), then interrupts any suspension

@@ -37,9 +37,9 @@ type t = {
   net : Network.t;
   rt : Fiber.runtime;
   latency : switch:int -> Sim_time.t;
-  (* Completion time of every command still outstanding, per switch; a
+  (* Latest completion time of any command sent to each switch; a
      barrier must wait for the ones issued before it. *)
-  outstanding : (int, Sim_time.t list) Hashtbl.t;
+  outstanding : (int, Sim_time.t) Hashtbl.t;
   (* One fiber per switch, spawned on first contact, looping on its
      inbox. *)
   inboxes : (int, message Fiber.Mailbox.t) Hashtbl.t;
@@ -71,17 +71,13 @@ let apply t ~switch mod_ =
       ignore (Flow_table.install_prefix table ~priority ~prefix ~len ~tag_match action));
   t.peak_rules <- max t.peak_rules (Network.total_rules t.net)
 
+(* Only the latest completion matters: a barrier's request arrives no
+   earlier than [now], so it waits for [max request_arrival latest],
+   and every completion before the latest one is dominated by it. *)
 let record_outstanding t switch time =
-  let current =
-    Option.value ~default:[] (Hashtbl.find_opt t.outstanding switch)
-  in
-  (* Prune completions that are already in the past: a future barrier's
-     request arrives no earlier than [now], so entries at or before it
-     can never win the max and would otherwise accumulate for the whole
-     run on large update batches. *)
-  let now = Engine.now (Network.engine t.net) in
-  let current = List.filter (fun at -> at > now) current in
-  Hashtbl.replace t.outstanding switch (time :: current)
+  match Hashtbl.find_opt t.outstanding switch with
+  | Some latest when latest >= time -> ()
+  | _ -> Hashtbl.replace t.outstanding switch time
 
 (* The switch: one fiber looping on its inbox. Each message is already
    stamped with its application time — the channel delivers it exactly
@@ -141,10 +137,11 @@ let send t ?execute_at ?latency ?(process_delay = 0) ?(handling = Deliver)
 let on_barrier_reply t ~switch k =
   let engine = Network.engine t.net in
   let request_arrival = Engine.now engine + t.latency ~switch in
-  let waiting_for =
-    Option.value ~default:[] (Hashtbl.find_opt t.outstanding switch)
+  let processed =
+    match Hashtbl.find_opt t.outstanding switch with
+    | Some latest -> max request_arrival latest
+    | None -> request_arrival
   in
-  let processed = List.fold_left max request_arrival waiting_for in
   let reply_arrival = processed + t.latency ~switch in
   Engine.at engine reply_arrival (fun () -> k reply_arrival)
 

@@ -38,9 +38,11 @@ let fiber_runtime t =
    control channel digest-identical to the old callback one. *)
 let tick t = match t.fibers with Some rt -> Fiber.drain rt | None -> ()
 
-(* The hot loop is allocation-free per event: [next_time]/[run_next]
+(* The loop itself allocates nothing per event: [next_time]/[run_next]
    avoid the [Some time] / [Some (time, thunk)] boxes [peek_time]/[pop]
-   would build for every dispatch. *)
+   would build, the queue reuses its slab slots, and [tick] returns at
+   once when no fiber is ready. What the dispatched thunks and the
+   fibers they wake allocate is their own. *)
 let run ?until t =
   Obs.Span.with_h s_run @@ fun () ->
   tick t;

@@ -3,7 +3,12 @@
     FIFO within each timestamp — at O(1) amortized per operation. Ties
     break by insertion order, so simulations are deterministic. The ring
     resizes itself (counted by the [sim.queue_resizes] counter) to track
-    event density. *)
+    event density.
+
+    Events live in a slab of parallel arrays with a free list, and each
+    bucket is an index-linked list of slots, so {!push} and {!run_next}
+    allocate nothing except when the slab grows or the ring is rebuilt.
+    A slot forgets its thunk when the event is dispatched. *)
 
 type t
 (** A mutable event queue; grows on demand. *)

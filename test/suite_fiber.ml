@@ -89,6 +89,29 @@ let test_yield_is_starvation_free () =
     [ (0, 0); (1, 0); (0, 1); (1, 1); (0, 2); (1, 2) ]
     (List.rev !log)
 
+(* Wakeups that arrive out of id order (here: one event delivering to
+   five receivers in reverse) still run in id order. *)
+let test_out_of_order_wakes_run_by_id () =
+  let engine = Engine.create () in
+  let rt = Engine.fiber_runtime engine in
+  let boxes = Array.init 5 (fun _ -> Fiber.Mailbox.create rt) in
+  let order = ref [] in
+  Array.iteri
+    (fun i box ->
+      ignore
+        (Fiber.spawn_root rt (fun () ->
+             let v = Fiber.Mailbox.recv box in
+             order := (i, v) :: !order)
+          : unit Fiber.t))
+    boxes;
+  Engine.at engine (Sim_time.msec 5) (fun () ->
+      for i = 4 downto 0 do
+        Fiber.Mailbox.send boxes.(i) (10 * i)
+      done);
+  Engine.run engine;
+  Alcotest.(check (list (pair int int)))
+    "id order" [ (0, 0); (1, 10); (2, 20); (3, 30); (4, 40) ] (List.rev !order)
+
 (* ------------------------------------------------------------------ *)
 (* Mailboxes. *)
 
@@ -234,6 +257,176 @@ let test_cancellation_cascades () =
   Alcotest.(check bool) "fiber.cancellations counted both" true (cancelled >= 2)
 
 (* ------------------------------------------------------------------ *)
+(* Wake races: two ways out of one suspension fall on the same instant,
+   or a cancel lands between a wake and the resume. Exactly one of them
+   resumes the fiber, and the event order decides which. *)
+
+let spawn_unit rt f = ignore (Fiber.spawn_root rt f : unit Fiber.t)
+
+(* A [recv_until] whose deadline is the instant of the [send]: the
+   spawn order fixes which of the two timers was pushed first. *)
+let recv_deadline_race ~sender_first =
+  let engine = Engine.create () in
+  let rt = Engine.fiber_runtime engine in
+  let box = Fiber.Mailbox.create rt in
+  let at = Sim_time.msec 10 in
+  let resumes = ref [] in
+  let receiver () =
+    resumes := Fiber.Mailbox.recv_until ~deadline:at box :: !resumes
+  in
+  let sender () =
+    Fiber.sleep_until at;
+    Fiber.Mailbox.send box 42
+  in
+  if sender_first then (spawn_unit rt sender; spawn_unit rt receiver)
+  else (spawn_unit rt receiver; spawn_unit rt sender);
+  Engine.run engine;
+  (!resumes, Fiber.Mailbox.depth box)
+
+let test_recv_until_deadline_at_send () =
+  let outcome = Alcotest.(pair (list (option int)) int) in
+  Alcotest.check outcome "deadline first: times out, the message stays queued"
+    ([ None ], 1)
+    (recv_deadline_race ~sender_first:false);
+  Alcotest.check outcome "send first: delivered, the deadline is stale"
+    ([ Some 42 ], 0)
+    (recv_deadline_race ~sender_first:true)
+
+let record_outcome resumes f =
+  match f () with
+  | () -> resumes := "resumed" :: !resumes
+  | exception Fiber.Cancelled ->
+      resumes := "cancelled" :: !resumes;
+      raise Fiber.Cancelled
+
+let test_cancel_between_wake_and_resume () =
+  (* A delivery and then a cancel inside one event: the receiver is
+     ready with the value when the cancel lands. *)
+  let engine = Engine.create () in
+  let rt = Engine.fiber_runtime engine in
+  let box = Fiber.Mailbox.create rt in
+  let resumes = ref [] in
+  let fb =
+    Fiber.spawn_root rt (fun () ->
+        record_outcome resumes (fun () -> ignore (Fiber.Mailbox.recv box : int)))
+  in
+  Engine.at engine (Sim_time.msec 5) (fun () ->
+      Fiber.Mailbox.send box 7;
+      Fiber.cancel fb);
+  Engine.run engine;
+  Alcotest.(check (list string)) "receiver resumed once, cancelled"
+    [ "cancelled" ] !resumes;
+  Alcotest.(check bool) "receiver ended Cancelled" true
+    (Fiber.poll fb = Some (Error Fiber.Cancelled));
+  Alcotest.(check int) "the delivered value is consumed" 0
+    (Fiber.Mailbox.depth box);
+  (* A timer wake and then a cancel before any drain, on a hand-rolled
+     loop that fires the timer itself. *)
+  let clock = ref 0 and timers = Queue.create () in
+  let rt =
+    Fiber.runtime ~now:(fun () -> !clock) ~schedule:(fun t k ->
+        Queue.push (t, k) timers)
+  in
+  let resumes = ref [] in
+  let fb =
+    Fiber.spawn_root rt (fun () ->
+        record_outcome resumes (fun () -> Fiber.sleep 5))
+  in
+  Fiber.drain rt;
+  let t, wake = Queue.pop timers in
+  clock := t;
+  wake ();
+  Fiber.cancel fb;
+  Fiber.drain rt;
+  Alcotest.(check (list string)) "sleeper resumed once, cancelled"
+    [ "cancelled" ] !resumes;
+  Alcotest.(check bool) "no timer left behind" true (Queue.is_empty timers)
+
+(* A [wait_until] whose target finishes exactly at the deadline. *)
+let wait_deadline_race ~target_first =
+  let engine = Engine.create () in
+  let rt = Engine.fiber_runtime engine in
+  let at = Sim_time.msec 10 in
+  let target = ref None and resumes = ref [] in
+  let spawn_target () =
+    target :=
+      Some
+        (Fiber.spawn_root rt (fun () ->
+             Fiber.sleep_until at;
+             7))
+  in
+  let waiter () =
+    let r = Fiber.wait_until ~deadline:at (Option.get !target) in
+    resumes :=
+      (match r with
+      | None -> "deadline"
+      | Some (Ok v) -> string_of_int v
+      | Some (Error e) -> Printexc.to_string e)
+      :: !resumes
+  in
+  if target_first then (spawn_target (); spawn_unit rt waiter)
+  else (spawn_unit rt waiter; spawn_target ());
+  Engine.run engine;
+  (!resumes, Fiber.poll (Option.get !target) = Some (Ok 7))
+
+let test_wait_until_target_at_deadline () =
+  let outcome = Alcotest.(pair (list string) bool) in
+  Alcotest.check outcome "deadline first: times out, the target still ends"
+    ([ "deadline" ], true)
+    (wait_deadline_race ~target_first:false);
+  Alcotest.check outcome "target first: its value, the deadline is stale"
+    ([ "7" ], true)
+    (wait_deadline_race ~target_first:true)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation and retention on the event path. *)
+
+(* One fiber's sleep/wake cycle: the timer thunk, the continuation and
+   the resume thunk, and nothing per cycle that grows. *)
+let sleep_cycle_words = 64.
+
+let test_sleep_cycle_allocation () =
+  let engine = Engine.create () in
+  let rt = Engine.fiber_runtime engine in
+  let cycles = 10_000 in
+  spawn_unit rt (fun () ->
+      for _ = 1 to cycles do
+        Fiber.sleep (Sim_time.msec 1)
+      done);
+  Fiber.drain rt;
+  let before = Gc.minor_words () in
+  Engine.run engine;
+  let per_cycle = (Gc.minor_words () -. before) /. float_of_int cycles in
+  Printf.printf "minor words per sleep/wake cycle: %.1f\n" per_cycle;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per cycle <= %.0f" per_cycle sleep_cycle_words)
+    true
+    (per_cycle <= sleep_cycle_words)
+
+(* Neither the event queue nor the ready queue keeps a finished fiber
+   alive. *)
+let[@inline never] spawn_watched rt collected =
+  let fb =
+    Fiber.spawn_root rt (fun () ->
+        Fiber.sleep (Sim_time.msec 5);
+        Fiber.yield ();
+        1)
+  in
+  Gc.finalise (fun _ -> collected := true) fb
+
+let test_finished_fibers_collectable () =
+  let engine = Engine.create () in
+  let rt = Engine.fiber_runtime engine in
+  let collected = ref false in
+  spawn_watched rt collected;
+  Engine.run engine;
+  Gc.full_major ();
+  Alcotest.(check bool) "finished fiber collected" true !collected;
+  (* The engine and its runtime outlive the collection above. *)
+  Alcotest.(check int) "the fiber finished" 0 (Fiber.stats rt).Fiber.live;
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending engine)
+
+(* ------------------------------------------------------------------ *)
 (* The heavy-traffic figure: the ISSUE's acceptance bar (>= 10,000
    concurrent fibers through one clean timed update on a k=16 fat-tree)
    and jobs-parity of every deterministic column. *)
@@ -276,6 +469,8 @@ let suite =
         test_ready_order_by_id;
       Alcotest.test_case "yield round-robins the batch" `Quick
         test_yield_is_starvation_free;
+      Alcotest.test_case "out-of-order wakes run in id order" `Quick
+        test_out_of_order_wakes_run_by_id;
       Alcotest.test_case "mailbox is FIFO; depth and try_recv" `Quick
         test_mailbox_fifo;
       Alcotest.test_case "recv_until times out and recovers" `Quick
@@ -285,6 +480,16 @@ let suite =
       Alcotest.test_case "wait, join and poll" `Quick test_wait_and_poll;
       Alcotest.test_case "cancellation cascades to children" `Quick
         test_cancellation_cascades;
+      Alcotest.test_case "recv_until deadline at the send instant" `Quick
+        test_recv_until_deadline_at_send;
+      Alcotest.test_case "cancel between wake and resume" `Quick
+        test_cancel_between_wake_and_resume;
+      Alcotest.test_case "wait_until target ends at the deadline" `Quick
+        test_wait_until_target_at_deadline;
+      Alcotest.test_case "sleep/wake cycle allocation bound" `Quick
+        test_sleep_cycle_allocation;
+      Alcotest.test_case "finished fibers are collectable" `Quick
+        test_finished_fibers_collectable;
       Alcotest.test_case "conns: 10k fibers, clean k=16 update" `Slow
         test_conns_ten_thousand;
       Alcotest.test_case "conns rows independent of job count" `Slow
