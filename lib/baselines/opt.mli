@@ -34,7 +34,6 @@ val solve :
   ?timeout:float ->
   ?horizon:int ->
   ?hint:Schedule.t ->
-  ?jobs:int ->
   Instance.t ->
   result
 (** [budget] caps explored search nodes (default 500_000); [timeout] caps
@@ -42,17 +41,7 @@ val solve :
     [horizon] bounds the makespan (default: the hint's makespan, else the
     greedy's when it succeeds, else the sequential-with-drain bound).
     [hint] is a known-consistent schedule (typically the greedy's): it
-    supplies the upper bound, seeds the portfolio's incumbent, and is the
-    [Feasible] fallback when the budget runs out.
-
-    [jobs] (default 1) selects the portfolio mode: the first step-0
-    inclusion decisions are partitioned into disjoint prefixes dealt
-    round-robin to [jobs] domains, which share the incumbent bound and
-    the node budget through atomics. The default single-domain path is
-    untouched and remains the reproducible reference — with [jobs > 1]
-    the outcome class and the optimal makespan are identical, but
-    [nodes_explored] varies with scheduling, [elapsed] measures wall
-    clock rather than processor time, and [timeout] is a wall-clock
-    deadline. *)
+    supplies the upper bound and is the [Feasible] fallback when the
+    budget runs out. *)
 
 val makespan_of : result -> int option

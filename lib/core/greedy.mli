@@ -23,10 +23,12 @@ type mode =
   | Analytic
       (** the paper's polynomial checks via {!Safety.analytic}; scales to
           thousands of switches (Fig. 10). The finished schedule is
-          validated once against the oracle; in the rare case the
-          polynomial approximation missed an interaction, the scheduler
-          transparently redoes the work in [Exact] mode — so [Scheduled]
-          results are always oracle-consistent in both modes. *)
+          validated once against the oracle; whenever the polynomial
+          approximation missed an interaction (about half of random
+          reroutes at 10–20 switches), the scheduler transparently redoes
+          the work in [Exact] mode and counts it in
+          [greedy.analytic_redos] — so [Scheduled] results are always
+          oracle-consistent in both modes. *)
 
 type outcome =
   | Scheduled of Schedule.t

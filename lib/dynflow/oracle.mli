@@ -105,8 +105,8 @@ val evaluate :
     order-canonical). [test/suite_oracle_incremental.ml] asserts this
     differentially on randomized scenarios.
 
-    A checker is single-domain state; portfolio workers each build their
-    own. [commit] (no undo) and [push]/[pop] (bracketed, for DFS) must
+    A checker is single-domain state; each domain builds its own.
+    [commit] (no undo) and [push]/[pop] (bracketed, for DFS) must
     not be interleaved: commits while frames are outstanding would make
     [pop] restore a stale base. *)
 module Checker : sig

@@ -18,7 +18,7 @@
       experiment rows with tracing on and off.
     - {b Domain safety.} All cells are [Atomic]s (the trace sink
       serialises writes with a [Mutex]), so concurrent updates from task
-      pool workers or portfolio search domains never tear.
+      pool workers never tear.
 
     Timestamps come from [CLOCK_MONOTONIC] via a local C stub
     ({!clock_ns}) — no third-party dependency, no allocation per
@@ -88,8 +88,8 @@ module Span : sig
   val stat : t -> stat
 end
 
-(** Named instant events that only exist on the trace ([opt.worker_done],
-    [exec.two_phase.phase]). Registration makes the label visible to
+(** Named instant events that only exist on the trace
+    ([exec.two_phase.phase]). Registration makes the label visible to
     {!all_labels} so the documentation test covers trace-only labels
     too. *)
 module Point : sig

@@ -149,6 +149,56 @@ let test_figures_det () =
         (String.equal (det 1) (det 2)))
     E.Figures.all
 
+(* The bench report keeps one [Figures.measure] delta per figure instead
+   of a process-wide snapshot. Two figures measured back to back must
+   account for every counter tick and span of the run between them, and
+   a figure's delta lists only the labels it touched. *)
+let test_figures_measure () =
+  let module Obs = Chronus_obs.Obs in
+  let figure key =
+    match E.Figures.select [ key ] with
+    | Ok [ f ] -> f
+    | Ok _ | Error _ -> Alcotest.failf "no figure %s" key
+  in
+  let measure key =
+    snd (E.Figures.measure (figure key) ~jobs:1 ~scale:tiny E.Figures.default_axes)
+  in
+  let before = Obs.snapshot () in
+  let table2 = measure "table2" in
+  let fig8 = measure "fig8" in
+  let total = Obs.diff before (Obs.snapshot ()) in
+  let amount delta label =
+    match List.assoc_opt label delta with
+    | Some (Obs.Counter n) -> n
+    | Some (Obs.Span s) -> s.Obs.Span.count
+    | Some (Obs.Gauge _) | None -> 0
+  in
+  Alcotest.(check bool) "the pair did some counted work" true (total <> []);
+  List.iter
+    (fun (label, v) ->
+      match v with
+      | Obs.Gauge _ -> ()
+      | Obs.Counter _ | Obs.Span _ ->
+          Alcotest.(check int)
+            (label ^ ": per-figure deltas add up to the pair's")
+            (amount total label)
+            (amount table2 label + amount fig8 label))
+    total;
+  List.iter
+    (fun delta ->
+      List.iter
+        (fun (label, v) ->
+          Alcotest.(check bool) (label ^ " listed only when touched") true
+            (match v with
+            | Obs.Counter n | Obs.Gauge n -> n > 0
+            | Obs.Span s -> s.Obs.Span.count > 0))
+        delta)
+    [ table2; fig8 ];
+  Alcotest.(check bool) "fig8 runs the greedy" true
+    (List.mem_assoc "greedy.rounds" fig8);
+  Alcotest.(check bool) "table2 does not" false
+    (List.mem_assoc "greedy.rounds" table2)
+
 let suite =
   ( "experiments",
     [
@@ -164,4 +214,5 @@ let suite =
       Alcotest.test_case "figure registry select" `Quick test_figures_select;
       Alcotest.test_case "figure registry det at any jobs" `Slow
         test_figures_det;
+      Alcotest.test_case "figure deltas add up" `Quick test_figures_measure;
     ] )

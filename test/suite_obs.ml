@@ -252,8 +252,7 @@ let test_trace_schema () =
       ignore (Chronus_exec.Timed_exec.run ~seed:1 inst);
       ignore (Chronus_exec.Two_phase_exec.run ~seed:1 inst);
       ignore (Chronus_exec.Order_exec.run ~seed:1 inst);
-      ignore
-        (Chronus_baselines.Opt.solve ~budget:50_000 ~timeout:5.0 ~jobs:2 inst);
+      ignore (Chronus_baselines.Opt.solve ~budget:50_000 ~timeout:5.0 inst);
       Obs.Trace.set_path None;
       let ic = open_in file in
       let lines = ref [] in

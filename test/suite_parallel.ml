@@ -175,45 +175,6 @@ let test_experiments_equal () =
     (E.Ablation.run ~jobs:1 ~scale ())
     (E.Ablation.run ~jobs:4 ~scale ())
 
-let test_opt_portfolio () =
-  let inst = Helpers.fig1 () in
-  let seq = Chronus_baselines.Opt.solve ~budget:200_000 ~timeout:10.0 inst in
-  let par =
-    Chronus_baselines.Opt.solve ~budget:200_000 ~timeout:10.0 ~jobs:4 inst
-  in
-  let makespan r = Chronus_baselines.Opt.makespan_of r in
-  Alcotest.(check bool) "sequential proves optimal" true
-    (match seq.Chronus_baselines.Opt.outcome with
-    | Chronus_baselines.Opt.Optimal _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "portfolio proves optimal" true
-    (match par.Chronus_baselines.Opt.outcome with
-    | Chronus_baselines.Opt.Optimal _ -> true
-    | _ -> false);
-  Alcotest.(check (option int))
-    "same optimal makespan" (makespan seq) (makespan par)
-
-let test_opt_portfolio_budget () =
-  (* With a starved shared budget and a greedy hint, the portfolio must
-     degrade to [Feasible hint] exactly like the single-domain path. *)
-  let open Chronus_topo in
-  let rng = Rng.make 77 in
-  let inst = Scenario.random_final ~rng (Scenario.spec 14) in
-  match Chronus_core.Greedy.schedule inst with
-  | Chronus_core.Greedy.Infeasible _ -> ()
-  | Chronus_core.Greedy.Scheduled hint ->
-      let r =
-        Chronus_baselines.Opt.solve ~budget:3 ~timeout:10.0 ~hint ~jobs:4 inst
-      in
-      Alcotest.(check bool) "falls back to the hint" true
-        (match r.Chronus_baselines.Opt.outcome with
-        | Chronus_baselines.Opt.Feasible s ->
-            Chronus_flow.Schedule.equal s hint
-        | Chronus_baselines.Opt.Optimal _ ->
-            (* A tiny instance can be solved within even 3 nodes. *)
-            true
-        | _ -> false)
-
 let suite =
   ( "parallel",
     [
@@ -231,7 +192,4 @@ let suite =
       Alcotest.test_case "CHRONUS_JOBS env" `Quick test_jobs_env;
       Alcotest.test_case "experiments identical at any jobs" `Slow
         test_experiments_equal;
-      Alcotest.test_case "opt portfolio optimality" `Quick test_opt_portfolio;
-      Alcotest.test_case "opt portfolio budget fallback" `Quick
-        test_opt_portfolio_budget;
     ] )
