@@ -2,23 +2,6 @@ open Chronus_flow
 
 type result = { schedule : Schedule.t; clean : bool }
 
-(* Reverse final-path position first, then ascending id: downstream rules
-   flip before the traffic that needs them can arrive. Used as the last
-   resort when even the relaxed greedy cannot place a switch. *)
-let leftover_order inst remaining =
-  let p_fin = inst.Instance.p_fin in
-  let pos v =
-    let rec scan i = function
-      | [] -> -1
-      | x :: rest -> if x = v then i else scan (i + 1) rest
-    in
-    scan 0 p_fin
-  in
-  List.sort
-    (fun a b ->
-      match compare (pos b) (pos a) with 0 -> compare a b | c -> c)
-    remaining
-
 let complete inst partial remaining =
   let drain = Drain.make inst in
   let dview = Drain.view drain partial in
@@ -26,12 +9,14 @@ let complete inst partial remaining =
   let start = max (Schedule.max_time partial + 1) (horizon_max + 1) in
   (* Extra headroom so that deletes land after any conceivable drain. *)
   let start = start + Instance.init_delay inst + 1 in
-  (* Place the leftovers through one incremental oracle session on the
-     partial base: each placement is probed at its spaced slot and pushed
-     later only if it would strand traffic. The headroom above makes that
-     bump unreachable in practice (deletes land after any conceivable
-     drain), so this normally costs [remaining] probe/commit pairs —
-     congestion is accepted here, loops and blackholes never are. *)
+  (* Place the leftovers downstream first, so rules flip before the
+     traffic that needs them can arrive, through one incremental oracle
+     session on the partial base: each placement is probed at its spaced
+     slot and pushed later only if it would strand traffic. The headroom
+     above makes that bump unreachable in practice (deletes land after
+     any conceivable drain), so this normally costs [remaining]
+     probe/commit pairs — congestion is accepted here, loops and
+     blackholes never are. *)
   let ck = Oracle.Checker.create inst partial in
   let flow_broken report =
     List.exists
@@ -58,7 +43,9 @@ let complete inst partial remaining =
     in
     at t 64
   in
-  fst (List.fold_left place (partial, start) (leftover_order inst remaining))
+  fst
+    (List.fold_left place (partial, start)
+       (Greedy.downstream_first inst remaining))
 
 let schedule ?mode ?oracle inst =
   match Greedy.schedule ?mode ?oracle inst with

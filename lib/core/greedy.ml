@@ -21,6 +21,15 @@ type outcome =
 
 type stats = { steps_examined : int; candidates_checked : int; waits : int }
 
+let downstream_first inst =
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace pos v i) inst.Instance.p_fin;
+  let pos v = Option.value ~default:(-1) (Hashtbl.find_opt pos v) in
+  fun switches ->
+    List.sort
+      (fun a b -> match compare (pos b) (pos a) with 0 -> compare a b | c -> c)
+      switches
+
 let run_scheduler ~mode ~relax_congestion ?oracle inst =
   Obs.Span.with_h s_schedule @@ fun () ->
   let drain = Drain.make inst in
@@ -55,6 +64,12 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
         | None -> Some (Oracle.Checker.create inst Schedule.empty))
     | Analytic -> None
   in
+  (* Analytic mode traces cohorts for its checks and its stream walks;
+     one tracer serves the whole run (Exact mode never builds it). *)
+  let tracer = lazy (Oracle.tracer inst) in
+  (* The final-path positions behind the forced-commit order, tabled once
+     per run rather than at every forced commit. *)
+  let downstream_first = downstream_first inst in
   let steps = ref 0 and cands = ref 0 and waits = ref 0 in
   (* The sorted remaining set is consulted on every fixpoint round;
      re-sorting the hashtable fold each time made the scheduler quadratic
@@ -76,10 +91,6 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
     remaining_cache :=
       Option.map (List.filter (fun x -> x <> v)) !remaining_cache
   in
-  (* Position of each switch on the final path, computed once: [p_fin] is
-     a simple path, so the table is a bijection. *)
-  let fin_pos = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace fin_pos v i) inst.Instance.p_fin;
   (* The redirected streams of the already-committed flips, traced under
      the rules currently in force, maintained incrementally: a fresh walk
      is added at each commit, walks whose recorded route crosses a newly
@@ -93,7 +104,7 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
   let trace_walk dview x =
     let feed = Drain.last_arrival dview x in
     if Horizon.at_or_after feed !time then begin
-      let cohort = Oracle.trace_from inst !sched x !time in
+      let cohort = Oracle.trace_from (Lazy.force tracer) !sched x !time in
       Hashtbl.replace walk_tbl x
         (Safety.make_walk ~feed ~base:!time cohort.Oracle.visits)
     end
@@ -125,28 +136,18 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
   let live_walks () =
     Hashtbl.fold (fun _ w acc -> w :: acc) walk_tbl []
   in
-  (* The analytic verdict is exact for the checks it performs, so in Exact
-     mode it serves as a cheap pre-filter and only its Safe answers are
-     confirmed against the oracle. *)
-  let exact_check ck v =
-    Obs.Counter.incr c_oracle;
-    let report = Oracle.Checker.probe ck v !time in
-    match report.Oracle.violations with
-    | [] -> Safety.Safe
-    | Oracle.Congestion { u; v = v'; time = s; _ } :: _ ->
-        Safety.Would_congest (u, v', s)
-    | Oracle.Loop { switch; _ } :: _ -> Safety.Would_loop switch
-    | Oracle.Blackhole { switch; _ } :: _ -> Safety.Would_blackhole switch
-  in
-  (* In Exact mode the oracle is the sole decider: the analytic verdict is
-     conservative (its stream horizons are upper bounds) and must not veto
-     a flip the oracle proves safe. In Analytic mode it is the decider. *)
+  (* In Exact mode the oracle is the sole decider; in Analytic mode the
+     analytic verdict is. *)
   let check ~streams v =
     incr cands;
     Obs.Counter.incr c_cands;
     match checker with
-    | Some ck -> exact_check ck v
-    | None -> Safety.analytic ~streams inst drain !sched ~time:!time v
+    | Some ck ->
+        Obs.Counter.incr c_oracle;
+        Safety.of_report (Oracle.Checker.probe ck v !time)
+    | None ->
+        Safety.analytic ~streams ~tracer:(Lazy.force tracer) inst drain
+          !sched ~time:!time v
   in
   let commit_flip v =
     sched := Schedule.add v !time !sched;
@@ -181,15 +182,7 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
     (* Downstream final-path switches first — flipping them cannot strand
        traffic — and only a bounded sample is assessed: the oracle call per
        candidate is what makes unbridled best-effort scheduling quadratic. *)
-    let pos v =
-      match Hashtbl.find_opt fin_pos v with Some i -> i | None -> -1
-    in
-    let ordered =
-      List.sort
-        (fun a b ->
-          match compare (pos b) (pos a) with 0 -> compare a b | c -> c)
-        (remaining_list ())
-    in
+    let ordered = downstream_first (remaining_list ()) in
     let rec shortlist k = function
       | [] -> []
       | _ when k = 0 -> []

@@ -74,5 +74,13 @@ val schedule_with_stats :
   Instance.t ->
   outcome * stats
 
+val downstream_first : Instance.t -> Graph.node list -> Graph.node list
+(** Sort switches downstream first: by descending position on the final
+    path (switches off it last), then by ascending id. Flipping
+    downstream switches first cannot strand traffic; this is the order in
+    which best-effort scheduling forces flips. [downstream_first inst]
+    tables the final-path positions once; apply it to every list to
+    sort. *)
+
 val makespan : outcome -> int option
 (** Number of time steps of a successful schedule. *)

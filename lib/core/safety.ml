@@ -128,7 +128,7 @@ let congestion_along_walk inst dview' view ~candidate visits =
       in
       scan visits
 
-let analytic ?(streams = no_streams) inst drain sched ~time v =
+let analytic ?(streams = no_streams) ~tracer inst drain sched ~time v =
   match Instance.new_next inst v with
   | None ->
       (* Deleting the rule: safe only once no traffic — old stream or
@@ -155,7 +155,7 @@ let analytic ?(streams = no_streams) inst drain sched ~time v =
            place. *)
         Safe
       else begin
-        let cohort = Oracle.trace_from inst tentative v time in
+        let cohort = Oracle.trace_from tracer tentative v time in
         match cohort.Oracle.outcome with
         | Oracle.Looped w -> Would_loop w
         | Oracle.Dropped w -> Would_blackhole w
@@ -193,13 +193,10 @@ let analytic ?(streams = no_streams) inst drain sched ~time v =
                   cohort.Oracle.visits)
       end
 
-let exact inst sched ~time v =
-  let tentative = Schedule.add v time sched in
-  let report = Oracle.evaluate inst tentative in
+let of_report report =
   match report.Oracle.violations with
   | [] -> Safe
-  | Oracle.Congestion { u; v = v'; time = s; _ } :: _ ->
-      Would_congest (u, v', s)
+  | Oracle.Congestion { u; v; time; _ } :: _ -> Would_congest (u, v, time)
   | Oracle.Loop { switch; _ } :: _ -> Would_loop switch
   | Oracle.Blackhole { switch; _ } :: _ -> Would_blackhole switch
 

@@ -16,9 +16,12 @@
       [2d] test). A walk that itself passes through the candidate before
       the probed switch is being rerouted by the very flip under test and
       is not counted. Cost O(path length x live walks).
-    - {!exact} validates the whole tentative partial schedule with the
-      dynamic-flow oracle. Exhaustive, cost proportional to the simulated
-      window; the decider for the instance sizes of Figs. 6–9 and 11. *)
+    - {!of_report} reads a verdict off the dynamic-flow oracle's report
+      on the whole tentative partial schedule. Exhaustive, cost
+      proportional to the simulated window. It decides in the greedy's
+      [Exact] mode, which Fig. 6 and every update-service transaction run
+      directly. The trials of Figs. 7, 8 and 11 run [Analytic] and reach
+      [Exact] only on the redo after a failed final validation. *)
 
 open Chronus_graph
 open Chronus_flow
@@ -61,14 +64,19 @@ val view_of_walks : stream_walk list -> stream_view
 
 val analytic :
   ?streams:stream_view ->
+  tracer:Oracle.tracer ->
   Instance.t ->
   Drain.t ->
   Schedule.t ->
   time:int ->
   Graph.node ->
   verdict
-(** [streams] defaults to {!no_streams}. *)
+(** [streams] defaults to {!no_streams}; [tracer] must be built over the
+    same instance ({!Oracle.tracer}). *)
 
-val exact : Instance.t -> Schedule.t -> time:int -> Graph.node -> verdict
+val of_report : Oracle.report -> verdict
+(** The verdict for a tentative schedule, from the oracle's report on it:
+    [Safe] iff the report has no violation, else the first (smallest)
+    violation as a verdict. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

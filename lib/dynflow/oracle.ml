@@ -72,11 +72,6 @@ let compare_violation a b =
   | Loop _, Blackhole _ -> -1
   | Blackhole _, Loop _ -> 1
 
-let rule_at inst sched v t =
-  match Schedule.find v sched with
-  | Some update_time when t >= update_time -> Instance.new_next inst v
-  | Some _ | None -> Instance.old_next inst v
-
 (* Time-extended link keys packed into one immediate int: 21 bits each for
    the endpoints and the (biased, so mildly negative steps fit) entry
    step. One packed key replaces the [(int * int * int)] tuple the load
@@ -95,40 +90,6 @@ let unpack key =
   ( (key lsr 42) land field_mask,
     (key lsr 21) land field_mask,
     (key land field_mask) - t_bias )
-
-(* Follow one cohort. [record] is called with [(u, v, entry_time)] for every
-   link the cohort enters, including the entry on which a loop is detected
-   (the flow is physically on that link when it closes the loop). *)
-let trace_from_with inst sched ~record start injected =
-  let dst = Instance.destination inst in
-  let visited = Itbl.create 16 in
-  let rec step v t visits =
-    Itbl.replace visited v ();
-    if v = dst then { injected; visits = List.rev visits; outcome = Delivered }
-    else
-      match rule_at inst sched v t with
-      | None -> { injected; visits = List.rev visits; outcome = Dropped v }
-      | Some w ->
-          record v w t;
-          let t' = t + Graph.delay inst.Instance.graph v w in
-          if Itbl.mem visited w then
-            {
-              injected;
-              visits = List.rev ((w, t') :: visits);
-              outcome = Looped w;
-            }
-          else step w t' ((w, t') :: visits)
-  in
-  step start injected [ (start, injected) ]
-
-let trace_with inst sched ~record injected =
-  trace_from_with inst sched ~record (Instance.source inst) injected
-
-let trace inst sched injected =
-  trace_with inst sched ~record:(fun _ _ _ -> ()) injected
-
-let trace_from inst sched start time =
-  trace_from_with inst sched ~record:(fun _ _ _ -> ()) start time
 
 let rec last_visit = function
   | [] -> assert false
@@ -193,64 +154,13 @@ let pack2 u v = (u lsl 21) lor v
 
 let no_background _ _ = 0
 
-let make_ctx ?(background = no_background) inst =
-  let g = inst.Instance.graph in
-  let nodes = Graph.nodes g in
-  let nn = 1 + List.fold_left max 0 nodes in
-  let a_old = Array.make nn (-1) and a_new = Array.make nn (-1) in
-  let a_old_dl = Array.make nn 0 and a_new_dl = Array.make nn 0 in
-  List.iter
-    (fun v ->
-      (match Instance.old_next inst v with
-      | Some w ->
-          a_old.(v) <- w;
-          a_old_dl.(v) <- Graph.delay g v w
-      | None -> ());
-      match Instance.new_next inst v with
-      | Some w ->
-          a_new.(v) <- w;
-          a_new_dl.(v) <- Graph.delay g v w
-      | None -> ())
-    nodes;
-  let a_prefix = Array.make nn min_int in
-  let rec walk acc = function
-    | [] | [ _ ] -> ()
-    | u :: (v :: _ as rest) ->
-        if a_prefix.(u) = min_int then a_prefix.(u) <- acc;
-        let acc = acc + Graph.delay g u v in
-        if a_prefix.(v) = min_int then a_prefix.(v) <- acc;
-        walk acc rest
-  in
-  (match inst.Instance.p_init with
-  | [ only ] -> a_prefix.(only) <- 0
-  | p -> walk 0 p);
-  let caps = Itbl.create 64 in
-  List.iter
-    (fun (u, v, e) -> Itbl.replace caps (pack2 u v) e.Graph.capacity)
-    (Graph.edges g);
-  {
-    nn;
-    src = Instance.source inst;
-    dst = Instance.destination inst;
-    a_old;
-    a_new;
-    a_old_dl;
-    a_new_dl;
-    a_prefix;
-    caps;
-    bg = background;
-    flip = Array.make nn max_int;
-    stamp = Array.make nn 0;
-    gen = 0;
-  }
-
-(* Re-point a context at another instance over the *same* graph: the
-   direct-address arrays are sized by the graph's node bound and the
-   capacity table is keyed by its edges, so both survive; only the rule,
-   delay and prefix entries — populated on path switches alone — need a
-   reset and a refill. O(nn + path length) instead of the O(nodes + edges)
-   of [make_ctx], which is what makes pooling checker sessions across
-   transactions worthwhile. *)
+(* Point the rule, delay and prefix arrays at [inst]: reset them, then
+   fill the entries of the path switches (the only ones that carry
+   rules). The arrays are sized by the graph's node bound and the
+   capacity table is keyed by its edges, so a context re-pointed at
+   another instance over the *same* graph keeps both: O(nn + path
+   length) instead of the O(nodes + edges) of [make_ctx], which is what
+   makes pooling checker sessions across transactions worthwhile. *)
 let retarget_ctx ctx ?background inst =
   let g = inst.Instance.graph in
   Array.fill ctx.a_old 0 ctx.nn (-1);
@@ -286,6 +196,39 @@ let retarget_ctx ctx ?background inst =
   ctx.dst <- Instance.destination inst;
   match background with Some bg -> ctx.bg <- bg | None -> ()
 
+(* A fresh context over [inst]. The capacity table is read only by the
+   load scan of an evaluation, so a context that only traces cohorts
+   ([tracer]) is built with an empty one instead of one entry per edge. *)
+let alloc_ctx ?(background = no_background) ~caps inst =
+  let g = inst.Instance.graph in
+  let nn = 1 + List.fold_left max 0 (Graph.nodes g) in
+  let ctx =
+    {
+      nn;
+      src = 0;
+      dst = 0;
+      a_old = Array.make nn (-1);
+      a_new = Array.make nn (-1);
+      a_old_dl = Array.make nn 0;
+      a_new_dl = Array.make nn 0;
+      a_prefix = Array.make nn min_int;
+      caps;
+      bg = background;
+      flip = Array.make nn max_int;
+      stamp = Array.make nn 0;
+      gen = 0;
+    }
+  in
+  retarget_ctx ctx inst;
+  ctx
+
+let make_ctx ?background inst =
+  let caps = Itbl.create 64 in
+  List.iter
+    (fun (u, v, e) -> Itbl.replace caps (pack2 u v) e.Graph.capacity)
+    (Graph.edges inst.Instance.graph);
+  alloc_ctx ?background ~caps inst
+
 let edge_cap ctx u v = Itbl.find ctx.caps (pack2 u v)
 
 (* Load the schedule's flip times into the context's scratch array (and
@@ -298,11 +241,13 @@ let set_flips ctx sched =
 let clear_flips ctx sched =
   Schedule.fold (fun v _ () -> ctx.flip.(v) <- max_int) sched ()
 
-(* The internal tracer: [trace_from_with] specialised to the context
-   arrays. Behaviourally identical (same visits, outcome, record calls);
-   the rule consulted at step [t] is the new one iff [t >= flip.(v)],
-   exactly [rule_at]. *)
-let trace_ctx ctx ~record tau =
+(* The one cohort walk. A cohort at switch [start] at step [tau] (its
+   [injected] field) follows, at every switch [v] it reaches at step [t],
+   the new rule iff [t >= flip.(v)], else the old one. [record] is called
+   with [(u, v, entry_time)] for every link the cohort enters, including
+   the entry on which a loop is detected (the flow is physically on that
+   link when it closes the loop). *)
+let trace_ctx ctx ~record start tau =
   ctx.gen <- ctx.gen + 1;
   let gen = ctx.gen in
   let dst = ctx.dst and flip = ctx.flip and stamp = ctx.stamp in
@@ -330,7 +275,19 @@ let trace_ctx ctx ~record tau =
       end
     end
   in
-  step ctx.src tau [ (ctx.src, tau) ]
+  step start tau [ (start, tau) ]
+
+let no_record _ _ _ = ()
+
+type tracer = ctx
+
+let tracer inst = alloc_ctx ~caps:(Itbl.create 1) inst
+
+let trace_from tr sched start time =
+  set_flips tr sched;
+  let c = trace_ctx tr ~record:no_record start time in
+  clear_flips tr sched;
+  c
 
 (* Everything about a schedule's transition that is *not* a per-cohort
    trace: the simulated injection window, the closed-form pure/stable
@@ -369,7 +326,7 @@ let compute_params inst ctx sched =
      the route — and detects a defective steady configuration — and the
      rest are accounted in closed form. *)
   let rep_tau = tmax + 1 + Instance.init_delay inst + Instance.fin_delay inst in
-  let rep = trace_ctx ctx ~record:(fun _ _ _ -> ()) rep_tau in
+  let rep = trace_ctx ctx ~record:no_record ctx.src rep_tau in
   let s_off = Array.make ctx.nn min_int in
   let s_nxt = Array.make ctx.nn (-1) in
   let rec note_offsets = function
@@ -409,7 +366,7 @@ let trace_sim ctx tau =
     entries := pack u v t :: !entries;
     incr count
   in
-  let c = trace_ctx ctx ~record tau in
+  let c = trace_ctx ctx ~record ctx.src tau in
   let arr = Array.make !count 0 in
   let rec fill i = function
     | [] -> ()
@@ -509,14 +466,21 @@ let assemble inst ctx params sims =
     window = (tau_start, stable_from);
   }
 
-let evaluate ?background inst sched =
+(* The from-scratch evaluation behind [evaluate], [Checker.create] and
+   [Checker.rebase]: the stream parameters and the window cohorts of
+   [sched] on a context pointed at [inst], and the report assembled from
+   them. *)
+let evaluate_on ctx inst sched =
   Obs.Counter.incr c_full;
-  let ctx = make_ctx ?background inst in
   set_flips ctx sched;
   let params = compute_params inst ctx sched in
   let sims = trace_window ctx params in
   clear_flips ctx sched;
-  assemble inst ctx params sims
+  (params, sims, assemble inst ctx params sims)
+
+let evaluate ?background inst sched =
+  let _, _, report = evaluate_on (make_ctx ?background inst) inst sched in
+  report
 
 (* The exhaustive variant backing {!link_loads}: materialise every cohort
    from the steady-state window up to the point where transitional tails
@@ -535,7 +499,7 @@ let link_loads inst sched =
     Itbl.replace loads key (current + demand);
     if t > !last_entry then last_entry := t
   in
-  let run tau = ignore (trace_ctx ctx ~record tau) in
+  let run tau = ignore (trace_ctx ctx ~record ctx.src tau) in
   for tau = params.tau_min to params.stable_from - 1 do
     run tau
   done;
@@ -551,9 +515,6 @@ let link_loads inst sched =
 
 let is_consistent ?background inst sched =
   Schedule.covers inst sched && (evaluate ?background inst sched).ok
-
-let congested_link_count ?background inst sched =
-  List.length (evaluate ?background inst sched).congested
 
 (* ------------------------------------------------------------------ *)
 (* The incremental engine. A checker is a session over one instance: it
@@ -625,12 +586,8 @@ module Checker = struct
     cache
 
   let create ?background inst sched =
-    Obs.Counter.incr c_full;
     let ctx = make_ctx ?background inst in
-    set_flips ctx sched;
-    let params = compute_params inst ctx sched in
-    let sims = trace_window ctx params in
-    clear_flips ctx sched;
+    let params, sims, report = evaluate_on ctx inst sched in
     {
       inst;
       ctx;
@@ -638,7 +595,7 @@ module Checker = struct
       params;
       cache = cache_of sims;
       index = build_index sims;
-      report = assemble inst ctx params sims;
+      report;
       memo = None;
       frames = [];
     }
@@ -683,16 +640,12 @@ module Checker = struct
     ck.memo <- None
 
   let rebase ck sched =
-    Obs.Counter.incr c_full;
-    set_flips ck.ctx sched;
-    let params = compute_params ck.inst ck.ctx sched in
-    let sims = trace_window ck.ctx params in
-    clear_flips ck.ctx sched;
+    let params, sims, report = evaluate_on ck.ctx ck.inst sched in
     ck.base <- sched;
     ck.params <- params;
     ck.cache <- cache_of sims;
     ck.index <- build_index sims;
-    ck.report <- assemble ck.inst ck.ctx params sims;
+    ck.report <- report;
     ck.memo <- None;
     ck.frames <- []
 

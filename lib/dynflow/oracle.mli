@@ -53,16 +53,19 @@ type report = {
   window : int * int;  (** simulated injection window (inclusive) *)
 }
 
-val rule_at : Instance.t -> Schedule.t -> Graph.node -> int -> Graph.node option
-(** Forwarding rule of a switch at a time step under a schedule. *)
+type tracer
+(** A per-instance tracing handle: the instance's rules as direct-address
+    arrays plus per-trace scratch. Build one per instance and reuse it for
+    every trace; it is single-domain state. *)
 
-val trace : Instance.t -> Schedule.t -> int -> cohort
-(** Follow the cohort injected at the given step through the network. *)
+val tracer : Instance.t -> tracer
 
-val trace_from : Instance.t -> Schedule.t -> Graph.node -> int -> cohort
-(** [trace_from inst sched v t] follows a cohort already at switch [v] at
-    step [t] (its [injected] field is set to [t]). Used by the loop check
-    of Algorithm 4 to examine the first redirected cohort. *)
+val trace_from : tracer -> Schedule.t -> Graph.node -> int -> cohort
+(** [trace_from tr sched v t] follows a cohort that is at switch [v] at
+    step [t] (its [injected] field is set to [t]) through the rules that
+    [sched] puts in force. From the source, this is the cohort injected at
+    [t]; from a candidate switch, it is the first cohort its flip
+    redirects, which Algorithm 4 examines. *)
 
 val compare_violation : violation -> violation -> int
 (** Structural order (same as polymorphic [compare], monomorphically). *)
@@ -189,12 +192,6 @@ val is_consistent :
   bool
 (** [true] iff the schedule covers every required switch and [evaluate]
     reports no violation. [background] as in {!evaluate}. *)
-
-val congested_link_count :
-  ?background:(Graph.node -> Graph.node -> int) -> Instance.t -> Schedule.t ->
-  int
-(** Number of distinct overloaded time-extended links (Fig. 8 metric).
-    [background] as in {!evaluate}. *)
 
 val link_loads :
   Instance.t -> Schedule.t -> ((Graph.node * Graph.node * int) * int) list

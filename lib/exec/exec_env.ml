@@ -65,19 +65,7 @@ let build ?(config = default) ?(seed = 1) ?(faults = Faults.zero) ~tag_initial
      the experiment's own rules stay younger and tie-breaks among them
      are unaffected by how much ballast surrounds them. *)
   List.iter
-    (fun (switch, mod_) ->
-      let table = Network.table net switch in
-      match mod_ with
-      | Controller.Install { priority; dst; tag_match; action } ->
-          ignore (Flow_table.install table ~priority ~dst ~tag_match action)
-      | Controller.Modify { dst; tag_match; action } ->
-          ignore (Flow_table.modify_actions table ~dst ~tag_match action)
-      | Controller.Remove { dst; tag_match } ->
-          ignore (Flow_table.remove table ~dst ~tag_match)
-      | Controller.Install_prefix { priority; prefix; len; tag_match; action } ->
-          ignore
-            (Flow_table.install_prefix table ~priority ~prefix ~len ~tag_match
-               action))
+    (fun (switch, mod_) -> Controller.apply_mod (Network.table net switch) mod_)
     config.preinstall;
   let dst = Instance.destination inst in
   let src = Instance.source inst in

@@ -86,45 +86,9 @@ let launch ?(retry = default_retry) env schedule =
   let fallback () =
     prog.fallen_back <- true;
     Obs.Counter.incr c_fallbacks;
-    let dst = Instance.destination inst and src = Instance.source inst in
-    let fin_transit = List.filter (fun v -> v <> dst) inst.Instance.p_fin in
-    List.iter
-      (fun v ->
-        match Instance.new_next inst v with
-        | None -> ()
-        | Some w ->
-            Exec_env.dispatch env ~switch:v
-              (Controller.Install
-                 {
-                   priority = 20;
-                   dst;
-                   tag_match = Flow_table.Tag fallback_tag;
-                   action =
-                     { Flow_table.set_tag = None; forward = Flow_table.Out w };
-                 }))
-      fin_transit;
-    let at =
-      Controller.barrier_all_wait env.Exec_env.controller
-        ~switches:fin_transit
-    in
+    let at, _ = Two_phase_exec.install_final_rules env ~tag:fallback_tag in
     Fiber.sleep_until at;
-    let new_hop =
-      match Instance.new_next inst src with
-      | Some w -> w
-      | None -> assert false
-    in
-    Exec_env.dispatch env ~switch:src
-      (Controller.Modify
-         {
-           dst;
-           tag_match = Flow_table.Any_tag;
-           action =
-             {
-               Flow_table.set_tag = Some fallback_tag;
-               forward = Flow_table.Out new_hop;
-             };
-         });
-    let at = Controller.barrier_wait env.Exec_env.controller ~switch:src in
+    let at = Two_phase_exec.flip_ingress env ~tag:fallback_tag in
     prog.finished <- Some at
   in
   (* One fiber per timed command: dispatch, await the ack with a

@@ -17,6 +17,47 @@ type t = {
 let old_tag = 1
 let new_tag = 2
 
+let install_final_rules env ~tag =
+  let inst = env.Exec_env.inst in
+  let dst = Instance.destination inst in
+  let rec hops = function
+    | v :: (w :: _ as rest) -> (v, w) :: hops rest
+    | [ _ ] | [] -> []
+  in
+  let hops = hops inst.Instance.p_fin in
+  List.iter
+    (fun (v, w) ->
+      Exec_env.dispatch env ~switch:v
+        (Controller.Install
+           {
+             priority = 20;
+             dst;
+             tag_match = Flow_table.Tag tag;
+             action = { Flow_table.set_tag = None; forward = Flow_table.Out w };
+           }))
+    hops;
+  let at =
+    Controller.barrier_all_wait env.Exec_env.controller
+      ~switches:(List.map fst hops)
+  in
+  (at, List.length hops)
+
+let flip_ingress env ~tag =
+  let inst = env.Exec_env.inst in
+  let src = Instance.source inst in
+  Exec_env.dispatch env ~switch:src
+    (Controller.Modify
+       {
+         dst = Instance.destination inst;
+         tag_match = Flow_table.Any_tag;
+         action =
+           {
+             Flow_table.set_tag = Some tag;
+             forward = Flow_table.Out (Option.get (Instance.new_next inst src));
+           };
+       });
+  Controller.barrier_wait env.Exec_env.controller ~switch:src
+
 let run ?config ?seed ?faults inst =
   Obs.Span.with_h s_run @@ fun () ->
   let env =
@@ -30,35 +71,14 @@ let run ?config ?seed ?faults inst =
   let src = Instance.source inst in
   let phase1_done = ref 0 and phase2_done = ref 0 in
   let finished = ref None in
-  let fin_transit =
-    List.filter (fun v -> v <> dst) inst.Instance.p_fin
-  in
   let rules_installed = ref 0 in
   (* The whole two-phase protocol is one straight-line fiber. *)
   ignore
     (Fiber.spawn_root (Engine.fiber_runtime engine) (fun () ->
          Fiber.sleep_until t0;
          (* Phase one: version-2 rules, traffic still stamped with tag 1. *)
-         List.iter
-           (fun v ->
-             match Instance.new_next inst v with
-             | None -> ()
-             | Some w ->
-                 incr rules_installed;
-                 Exec_env.dispatch env ~switch:v
-                   (Controller.Install
-                      {
-                        priority = 20;
-                        dst;
-                        tag_match = Flow_table.Tag new_tag;
-                        action =
-                          {
-                            Flow_table.set_tag = None;
-                            forward = Flow_table.Out w;
-                          };
-                      }))
-           fin_transit;
-         let at = Controller.barrier_all_wait controller ~switches:fin_transit in
+         let at, installed = install_final_rules env ~tag:new_tag in
+         rules_installed := installed;
          phase1_done := at;
          Obs.Counter.incr c_phases;
          Obs.Point.emit p_phase
@@ -66,23 +86,7 @@ let run ?config ?seed ?faults inst =
          Fiber.sleep_until at;
          (* Phase two: flip the ingress stamp; every packet from now on
             carries tag 2 and follows the new rules. *)
-         let new_hop =
-           match Instance.new_next inst src with
-           | Some w -> w
-           | None -> assert false
-         in
-         Exec_env.dispatch env ~switch:src
-           (Controller.Modify
-              {
-                dst;
-                tag_match = Flow_table.Any_tag;
-                action =
-                  {
-                    Flow_table.set_tag = Some new_tag;
-                    forward = Flow_table.Out new_hop;
-                  };
-              });
-         let at = Controller.barrier_wait controller ~switch:src in
+         let at = flip_ingress env ~tag:new_tag in
          phase2_done := at;
          Obs.Counter.incr c_phases;
          Obs.Point.emit p_phase

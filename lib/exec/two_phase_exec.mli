@@ -13,6 +13,18 @@ type t = {
   rules_installed : int;  (** tag-2 rules added in phase one *)
 }
 
+val install_final_rules : Exec_env.env -> tag:int -> Sim_time.t * int
+(** Phase one, from inside a fiber on the environment's runtime: install
+    a [tag]-matching rule along the final path on every final-path switch
+    but the destination, in path order, then wait on one barrier across
+    them. Returns the barrier reply time and the number of rules
+    installed. *)
+
+val flip_ingress : Exec_env.env -> tag:int -> Sim_time.t
+(** Phase two, from inside a fiber: make the source stamp [tag] and
+    forward along the final path, then wait on its barrier. Returns the
+    barrier reply time. *)
+
 val run :
   ?config:Exec_env.config ->
   ?seed:int ->

@@ -27,8 +27,9 @@ let or_gap = 8
 let run ?(with_opt = true) ~scale ~rng inst =
   Obs.Span.with_h s_run @@ fun () ->
   (* The polynomial engine is what the paper runs at scale; its results
-     are still oracle-validated (Greedy re-derives in exact mode on the
-     rare validation miss). *)
+     are still oracle-validated: Greedy redoes the work in exact mode when
+     the final validation fails, which happens on about half of the
+     random reroutes at 10-20 switches. *)
   let { Fallback.schedule = chronus_schedule; clean = chronus_clean } =
     Fallback.schedule ~mode:Greedy.Analytic inst
   in

@@ -58,9 +58,7 @@ let create ?(latency = fun ~switch:_ -> Sim_time.msec 1) net =
     peak_rules = Network.total_rules net;
   }
 
-let apply t ~switch mod_ =
-  let table = Network.table t.net switch in
-  (match mod_ with
+let apply_mod table = function
   | Install { priority; dst; tag_match; action } ->
       ignore (Flow_table.install table ~priority ~dst ~tag_match action)
   | Modify { dst; tag_match; action } ->
@@ -68,7 +66,10 @@ let apply t ~switch mod_ =
   | Remove { dst; tag_match } ->
       ignore (Flow_table.remove table ~dst ~tag_match)
   | Install_prefix { priority; prefix; len; tag_match; action } ->
-      ignore (Flow_table.install_prefix table ~priority ~prefix ~len ~tag_match action));
+      ignore (Flow_table.install_prefix table ~priority ~prefix ~len ~tag_match action)
+
+let apply t ~switch mod_ =
+  apply_mod (Network.table t.net switch) mod_;
   t.peak_rules <- max t.peak_rules (Network.total_rules t.net)
 
 (* Only the latest completion matters: a barrier's request arrives no

@@ -33,6 +33,11 @@ type flow_mod =
           [Table_compiler], installed by [Exec_env] preinstall. Update
           commands stay exact-match, so they always shadow these. *)
 
+val apply_mod : Flow_table.t -> flow_mod -> unit
+(** Apply a flow-mod to a table directly, with no channel in between: what
+    a switch does with a delivered command, and how background state is
+    preinstalled before an experiment starts. *)
+
 val create :
   ?latency:(switch:int -> Sim_time.t) -> Network.t -> t
 (** [latency] models the control channel's per-command delay (default:

@@ -217,8 +217,10 @@ let oracle_closed_form_equiv =
         + Instance.fin_delay inst + 2
       in
       let misrouted = ref false in
+      let tracer = Oracle.tracer inst in
+      let src = Instance.source inst in
       for tau = window_lo to window_hi do
-        match (Oracle.trace inst sched tau).Oracle.outcome with
+        match (Oracle.trace_from tracer sched src tau).Oracle.outcome with
         | Oracle.Delivered -> ()
         | Oracle.Looped _ | Oracle.Dropped _ -> misrouted := true
       done;

@@ -75,8 +75,11 @@ let brute_force_last_arrival inst sched v =
   let window_lo = -Instance.init_delay inst - 2 in
   let window_hi = Schedule.max_time sched + Instance.init_delay inst + 3 in
   let last = ref None in
+  let tracer = Oracle.tracer inst in
   for tau = window_lo to window_hi do
-    let cohort = Oracle.trace inst sched tau in
+    let cohort =
+      Oracle.trace_from tracer sched (Instance.source inst) tau
+    in
     let rec arrives_via_old path visits =
       match (path, visits) with
       | p :: _, [ (w, t) ] -> if p = w && w = v then Some t else None

@@ -6,13 +6,13 @@ let test_loop_check_structural () =
   (* v4's dashed link points to v3, which is upstream of v4 on the old
      path — the loop configuration. v2's points to the destination. *)
   Alcotest.(check bool) "v4 structural loop" true
-    (Loop_check.structural inst ~candidate:4);
+    (Model_loop_check.structural inst ~candidate:4);
   Alcotest.(check bool) "v5 structural loop" true
-    (Loop_check.structural inst ~candidate:5);
+    (Model_loop_check.structural inst ~candidate:5);
   Alcotest.(check bool) "v2 no structural loop" false
-    (Loop_check.structural inst ~candidate:2);
+    (Model_loop_check.structural inst ~candidate:2);
   Alcotest.(check bool) "v1 no structural loop" false
-    (Loop_check.structural inst ~candidate:1)
+    (Model_loop_check.structural inst ~candidate:1)
 
 let test_loop_check_timed () =
   let inst = Helpers.fig1 () in
@@ -20,27 +20,31 @@ let test_loop_check_timed () =
      but is safe at t2 once v3 flipped at t1. *)
   let sched_t1 = Schedule.of_list [ (2, 0) ] in
   Alcotest.(check bool) "v4 at t1 loops" true
-    (Loop_check.timed inst sched_t1 ~candidate:4 ~time:1);
+    (Model_loop_check.timed inst sched_t1 ~candidate:4 ~time:1);
   let sched_t2 = Schedule.of_list [ (2, 0); (3, 1) ] in
   Alcotest.(check bool) "v4 at t2 safe" false
-    (Loop_check.timed inst sched_t2 ~candidate:4 ~time:2)
+    (Model_loop_check.timed inst sched_t2 ~candidate:4 ~time:2)
 
 let test_safety_verdicts () =
   let inst = Helpers.fig1 () in
   let drain = Drain.make inst in
+  let tracer = Oracle.tracer inst in
   (* v3 at t0 congests (v5, v6): redirected flow meets the old stream. *)
-  (match Safety.analytic inst drain Schedule.empty ~time:0 3 with
+  (match Safety.analytic ~tracer inst drain Schedule.empty ~time:0 3 with
   | Safety.Would_congest (5, 6, 1) -> ()
   | other ->
       Alcotest.failf "expected congestion on (5,6) at t=1, got %a"
         Safety.pp_verdict other);
   (* v2 at t0 is safe, and the oracle agrees. *)
   Alcotest.(check bool) "v2 analytic safe" true
-    (Safety.is_safe (Safety.analytic inst drain Schedule.empty ~time:0 2));
+    (Safety.is_safe
+       (Safety.analytic ~tracer inst drain Schedule.empty ~time:0 2));
   Alcotest.(check bool) "v2 exact safe" true
-    (Safety.is_safe (Safety.exact inst Schedule.empty ~time:0 2));
+    (Safety.is_safe
+       (Safety.of_report
+          (Oracle.evaluate inst (Schedule.add 2 0 Schedule.empty))));
   (* v4 at t0 loops. *)
-  (match Safety.analytic inst drain Schedule.empty ~time:0 4 with
+  (match Safety.analytic ~tracer inst drain Schedule.empty ~time:0 4 with
   | Safety.Would_loop _ -> ()
   | other -> Alcotest.failf "expected loop, got %a" Safety.pp_verdict other)
 
@@ -50,14 +54,15 @@ let test_safety_delete_gating () =
     Instance.create ~graph:g ~demand:1 ~p_init:[ 0; 1; 2 ] ~p_fin:[ 0; 2 ]
   in
   let drain = Drain.make inst in
+  let tracer = Oracle.tracer inst in
   (* Deleting v1 before anything diverted its traffic must wait. *)
-  (match Safety.analytic inst drain Schedule.empty ~time:0 1 with
+  (match Safety.analytic ~tracer inst drain Schedule.empty ~time:0 1 with
   | Safety.Not_drained -> ()
   | other -> Alcotest.failf "expected Not_drained, got %a" Safety.pp_verdict other);
   (* Once v0 has flipped at t0, v1 is drained from t1 on. *)
   let sched = Schedule.of_list [ (0, 0) ] in
   Alcotest.(check bool) "drained at t1" true
-    (Safety.is_safe (Safety.analytic inst drain sched ~time:1 1))
+    (Safety.is_safe (Safety.analytic ~tracer inst drain sched ~time:1 1))
 
 let test_greedy_on_fig1 () =
   let inst = Helpers.fig1 () in

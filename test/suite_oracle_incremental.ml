@@ -1,7 +1,8 @@
 (* Differential tests for the incremental oracle: every [Checker] probe,
-   commit, push/pop and rebase must produce a report structurally
+   commit, push/pop, rebase and retarget must produce a report structurally
    identical to [Oracle.evaluate] run from scratch on the same schedule —
-   the equivalence obligation stated in oracle.mli. Plus golden replays
+   the equivalence obligation stated in oracle.mli — and the cohort walk
+   must match its list-tracer model ([Model_trace]). Plus golden replays
    of the schedulers, pinning the exact schedules the pre-incremental
    implementation produced. *)
 
@@ -256,6 +257,59 @@ let set_background_matches =
              report_eq (O.Checker.probe ck v t) (O.Checker.probe ck' v t))
            probed)
 
+(* retarget ~background swaps the cross-flow steady load along with the
+   instance: the session must match one created with that background
+   from the start, on the base and on probes — also when the retargeted
+   session had a populated probe cache and a different background. *)
+let retarget_background_matches =
+  Test.make ~count ~name:"retarget ~background = fresh create with background"
+    (Helpers.arbitrary_instance ())
+    (fun seed ->
+      let inst = Helpers.instance_of_seed seed in
+      let rng = Rng.derive seed [ 43 ] in
+      let base = random_partial rng inst in
+      let ck = O.Checker.create ~background:(fun u _ -> u mod 2) inst base in
+      List.iter
+        (fun v -> ignore (O.Checker.probe ck v (Rng.in_range rng 0 7)))
+        (unscheduled inst base);
+      let bg u v = (u + (2 * v)) mod 2 in
+      O.Checker.retarget ~background:bg ck inst;
+      let ck' = O.Checker.create ~background:bg inst Schedule.empty in
+      report_eq (O.Checker.base_report ck) (O.Checker.base_report ck')
+      && List.for_all
+           (fun v ->
+             let t = Rng.in_range rng 0 7 in
+             report_eq (O.Checker.probe ck v t) (O.Checker.probe ck' v t))
+           (Instance.switches_to_update inst))
+
+(* The oracle's one cohort walk against the list-tracer model: random
+   instances, random partial schedules, every switch as the start and a
+   spread of start steps — on one reused tracer, so stale scratch state
+   between traces would show. *)
+let trace_from_matches_model =
+  Test.make ~count ~name:"trace_from = list-tracer model"
+    (Helpers.arbitrary_instance ())
+    (fun seed ->
+      let inst = Helpers.instance_of_seed seed in
+      let rng = Rng.derive seed [ 47 ] in
+      let tracer = O.tracer inst in
+      let nodes = Chronus_graph.Graph.nodes inst.Instance.graph in
+      List.for_all
+        (fun _ ->
+          let sched = random_partial rng inst in
+          List.for_all
+            (fun v ->
+              List.for_all
+                (fun t ->
+                  let got = O.trace_from tracer sched v t in
+                  let want = Model_trace.trace_from inst sched v t in
+                  got.O.visits = want.O.visits
+                  && got.O.outcome = want.O.outcome
+                  && got.O.injected = want.O.injected)
+                [ Rng.in_range rng (-6) 0; Rng.in_range rng 0 12 ])
+            nodes)
+        [ 1; 2; 3 ])
+
 (* --- Golden replays -----------------------------------------------------
 
    Schedules produced by the schedulers before the incremental oracle
@@ -380,6 +434,8 @@ let suite =
         rebase_matches;
         retarget_matches;
         set_background_matches;
+        retarget_background_matches;
+        trace_from_matches_model;
       ]
   in
   ( name,

@@ -11,12 +11,11 @@ let test_exact_agrees_with_oracle () =
   let inst = inst () in
   List.iter
     (fun v ->
-      let verdict = Safety.exact inst Schedule.empty ~time:0 v in
-      let tentative = Schedule.add v 0 Schedule.empty in
+      let report = Oracle.evaluate inst (Schedule.add v 0 Schedule.empty) in
       Alcotest.(check bool)
         (Printf.sprintf "v%d verdict matches oracle" v)
-        (Oracle.evaluate inst tentative).Oracle.ok
-        (Safety.is_safe verdict))
+        report.Oracle.ok
+        (Safety.is_safe (Safety.of_report report)))
     (Instance.switches_to_update inst)
 
 let test_analytic_never_accepts_loops () =
@@ -26,11 +25,12 @@ let test_analytic_never_accepts_loops () =
   for seed = 300 to 339 do
     let inst = Helpers.instance_of_seed seed in
     let drain = Drain.make inst in
+    let tracer = Oracle.tracer inst in
     List.iter
       (fun v ->
         if
           Safety.is_safe
-            (Safety.analytic inst drain Schedule.empty ~time:0 v)
+            (Safety.analytic ~tracer inst drain Schedule.empty ~time:0 v)
         then begin
           let tentative = Schedule.add v 0 Schedule.empty in
           let report = Oracle.evaluate inst tentative in
@@ -83,13 +83,15 @@ let test_analytic_walk_counting () =
      registered, flipping v1 (whose redirected stream also reaches (4, 5))
      must be vetoed; without it, the pairwise view would allow it. *)
   let sched = Schedule.of_list [ (0, 0) ] in
+  let tracer = Oracle.tracer inst in
   let walk =
-    let cohort = Oracle.trace_from inst sched 0 0 in
+    let cohort = Oracle.trace_from tracer sched 0 0 in
     Safety.make_walk ~feed:Horizon.Forever ~base:0 cohort.Oracle.visits
   in
-  let without = Safety.analytic inst drain sched ~time:0 1 in
+  let without = Safety.analytic ~tracer inst drain sched ~time:0 1 in
   let with_walk =
-    Safety.analytic ~streams:(Safety.view_of_walks [ walk ]) inst drain sched ~time:0 1
+    Safety.analytic ~streams:(Safety.view_of_walks [ walk ]) ~tracer inst
+      drain sched ~time:0 1
   in
   Alcotest.(check bool) "pairwise view accepts" true (Safety.is_safe without);
   (match with_walk with
