@@ -47,15 +47,13 @@ let complete inst partial remaining =
     (List.fold_left place (partial, start)
        (Greedy.downstream_first inst remaining))
 
-let schedule ?mode ?oracle inst =
-  match Greedy.schedule ?mode ?oracle inst with
+let schedule ?mode inst =
+  match Greedy.schedule ?mode inst with
   | Greedy.Scheduled s -> { schedule = s; clean = true }
   | Greedy.Infeasible _ -> (
       (* Re-run with capacity constraints relaxed: congestion is now
-         accepted, loops and blackholes still are not. The pooled session
-         (if any) is handed through — the greedy retargets it back to the
-         empty base itself. *)
-      match Greedy.schedule ?mode ?oracle ~relax_congestion:true inst with
+         accepted, loops and blackholes still are not. *)
+      match Greedy.schedule ?mode ~relax_congestion:true inst with
       | Greedy.Scheduled s -> { schedule = s; clean = false }
       | Greedy.Infeasible { partial; remaining } ->
           { schedule = complete inst partial remaining; clean = false })

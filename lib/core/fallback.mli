@@ -16,10 +16,7 @@ type result = {
   clean : bool;  (** [true] when the greedy succeeded outright *)
 }
 
-val schedule :
-  ?mode:Greedy.mode -> ?oracle:Oracle.Checker.t -> Instance.t -> result
+val schedule : ?mode:Greedy.mode -> Instance.t -> result
 (** Greedy first; on infeasibility, extend as described. The result always
-    covers every switch the instance updates. [oracle] is handed to both
-    greedy runs (contract as in {!Greedy.schedule}); the drain-pause
-    completion pass opens its own session on the partial base either
-    way. *)
+    covers every switch the instance updates. Each greedy run and the
+    drain-pause completion pass open their own oracle sessions. *)

@@ -14,20 +14,14 @@ let pp_path ppf = function
   | Timed -> Format.pp_print_string ppf "timed"
   | Two_phase_fallback -> Format.pp_print_string ppf "two-phase-fallback"
 
-type retry = {
-  ack_timeout : Sim_time.t;
-  backoff : Sim_time.t;
-  max_retries : int;
-  deadline_slack : Sim_time.t;
-}
-
-let default_retry =
-  {
-    ack_timeout = Sim_time.msec 200;
-    backoff = Sim_time.msec 100;
-    max_retries = 3;
-    deadline_slack = Sim_time.sec 1;
-  }
+(* Retry policy: wait [ack_timeout] past a command's execution time
+   (plus [backoff] per attempt) before re-sending, at most [max_retries]
+   times; abandon the timed plan [deadline_slack] past the schedule's
+   nominal completion. *)
+let ack_timeout = Sim_time.msec 200
+let backoff = Sim_time.msec 100
+let max_retries = 3
+let deadline_slack = Sim_time.sec 1
 
 type t = {
   result : Exec_env.result;
@@ -51,7 +45,7 @@ type progress = {
   deadline : Sim_time.t;
 }
 
-let launch ?(retry = default_retry) env schedule =
+let launch env schedule =
   let inst = env.Exec_env.inst in
   let engine = Network.engine env.Exec_env.net in
   let cfg = env.Exec_env.config in
@@ -76,7 +70,7 @@ let launch ?(retry = default_retry) env schedule =
       deadline =
         t0
         + (Schedule.makespan schedule * cfg.Exec_env.delay_unit)
-        + retry.deadline_slack;
+        + deadline_slack;
     }
   in
   (* Emergency path on deadline miss: a two-phase update over the final
@@ -112,10 +106,10 @@ let launch ?(retry = default_retry) env schedule =
         (Exec_env.modify_of_update inst u);
       let check_at =
         max (Engine.now engine) exec_at
-        + retry.ack_timeout
-        + (n * retry.backoff)
+        + ack_timeout
+        + (n * backoff)
       in
-      if check_at < prog.deadline && n < retry.max_retries then
+      if check_at < prog.deadline && n < max_retries then
         match Fiber.Mailbox.recv_until ~deadline:check_at box with
         | Some at -> settle at
         | None ->
@@ -153,13 +147,13 @@ let launch ?(retry = default_retry) env schedule =
       : unit Fiber.t);
   prog
 
-let run ?config ?seed ?mode ?faults ?(retry = default_retry) inst =
+let run ?config ?seed ?faults inst =
   Obs.Span.with_h s_run @@ fun () ->
-  let { Fallback.schedule; clean } = Fallback.schedule ?mode inst in
+  let { Fallback.schedule; clean } = Fallback.schedule inst in
   let env = Exec_env.build ?config ?seed ?faults ~tag_initial:None inst in
   let engine = Network.engine env.Exec_env.net in
   let cfg = env.Exec_env.config in
-  let prog = launch ~retry env schedule in
+  let prog = launch env schedule in
   let horizon = prog.deadline + Sim_time.sec 5 in
   Engine.run ~until:horizon engine;
   if prog.finished = None then

@@ -7,9 +7,9 @@
     [t0 + step * delay_unit], dispatched ahead of time through
     {!Exec_env.dispatch} (the fault injection point). Every command
     carries ack semantics: a command whose acknowledgement has not
-    returned within [ack_timeout] (plus linear backoff per attempt) is
-    re-sent, up to [max_retries] times. If any command is still un-acked
-    at [deadline_slack] past the schedule's nominal completion, the timed
+    returned within 200 ms of its execution time (plus 100 ms of linear
+    backoff per attempt) is re-sent, up to 3 times. If any command is
+    still un-acked 1 s past the schedule's nominal completion, the timed
     plan is aborted and an emergency two-phase update (version tag 9, so
     it composes with the untagged timed rules) installs the final path —
     the [path] field of {!t} reports which path completed the run. *)
@@ -25,21 +25,6 @@ type path =
           two-phase path took over *)
 
 val pp_path : Format.formatter -> path -> unit
-
-(** Retry/fallback policy knobs. *)
-type retry = {
-  ack_timeout : Sim_time.t;
-      (** how long after the scheduled execution time to wait for the
-          ack before re-sending *)
-  backoff : Sim_time.t;  (** added per attempt (linear backoff) *)
-  max_retries : int;  (** re-sends per command *)
-  deadline_slack : Sim_time.t;
-      (** grace past the schedule's nominal completion before the timed
-          plan is declared failed and the fallback runs *)
-}
-
-val default_retry : retry
-(** 200 ms ack timeout, 100 ms backoff, 3 retries, 1 s slack. *)
 
 type t = {
   result : Exec_env.result;
@@ -63,7 +48,7 @@ type progress = {
       (** when the timed plan is abandoned for the fallback *)
 }
 
-val launch : ?retry:retry -> Exec_env.env -> Schedule.t -> progress
+val launch : Exec_env.env -> Schedule.t -> progress
 (** Spawn the update's fibers (one per timed command, plus the deadline
     watcher) on [env]'s engine without driving it: the caller runs the
     engine, typically alongside other fibers — [Fig_conns] executes a
@@ -73,8 +58,6 @@ val launch : ?retry:retry -> Exec_env.env -> Schedule.t -> progress
 val run :
   ?config:Exec_env.config ->
   ?seed:int ->
-  ?mode:Chronus_core.Greedy.mode ->
   ?faults:Chronus_faults.Faults.config ->
-  ?retry:retry ->
   Instance.t ->
   t

@@ -14,219 +14,39 @@ let default_jobs () =
    when several tasks die in the same run. *)
 type failure = { index : int; error : exn; trace : Printexc.raw_backtrace }
 
-let spawn_count = Atomic.make 0
-
-let spawned_domains () = Atomic.get spawn_count
-
-let spawn f =
-  Atomic.incr spawn_count;
-  Domain.spawn f
-
-(* One batch of work: a shared cursor hands out chunks, a stop flag cuts
-   the batch short on failure, and the lowest-indexed exception wins.
-   [claim] never raises — failures are recorded and re-raised by
-   [finish] in the submitting domain. *)
-let make_claim ~chunk ~n (body : int -> unit) =
+(* One batch: [jobs - 1] spawned domains and the caller claim indices off
+   a shared cursor, a stop flag cuts the batch short on failure, and
+   every domain is joined before the lowest-indexed exception is
+   re-raised in the caller. *)
+let run ~jobs ~n (body : int -> unit) =
   let cursor = Atomic.make 0 in
   let stop = Atomic.make false in
   let failed : failure option Atomic.t = Atomic.make None in
-  let note_failure index error trace =
+  let rec note_failure index error trace =
     Atomic.set stop true;
-    let rec record () =
-      let seen = Atomic.get failed in
-      let better =
-        match seen with None -> true | Some f -> index < f.index
-      in
-      if
-        better
-        && not (Atomic.compare_and_set failed seen (Some { index; error; trace }))
-      then record ()
-    in
-    record ()
+    let seen = Atomic.get failed in
+    let better = match seen with None -> true | Some f -> index < f.index in
+    if
+      better
+      && not (Atomic.compare_and_set failed seen (Some { index; error; trace }))
+    then note_failure index error trace
   in
-  let claim () =
-    let continue = ref true in
-    while !continue do
-      let lo = Atomic.fetch_and_add cursor chunk in
-      if lo >= n || Atomic.get stop then continue := false
-      else
-        let hi = min n (lo + chunk) - 1 in
-        let i = ref lo in
-        while !i <= hi && not (Atomic.get stop) do
-          (try body !i
-           with e -> note_failure !i e (Printexc.get_raw_backtrace ()));
-          incr i
-        done
-    done
+  let rec claim () =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i < n && not (Atomic.get stop) then begin
+      (try body i with e -> note_failure i e (Printexc.get_raw_backtrace ()));
+      claim ()
+    end
   in
-  let finish () =
-    match Atomic.get failed with
-    | Some { error; trace; _ } -> Printexc.raise_with_backtrace error trace
-    | None -> ()
-  in
-  (claim, finish)
-
-(* Spawn-per-call execution: the fallback when the persistent pool is
-   already executing a batch (a nested [parallel_map] from inside a
-   task) and the shutdown path for anything launched after [at_exit]. *)
-let run_spawned ~jobs ~chunk ~n body =
-  let claim, finish = make_claim ~chunk ~n body in
-  let spawned = List.init (jobs - 1) (fun _ -> spawn claim) in
+  let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn claim) in
   claim ();
   List.iter Domain.join spawned;
-  finish ()
+  match Atomic.get failed with
+  | Some { error; trace; _ } -> Printexc.raise_with_backtrace error trace
+  | None -> ()
 
-(* The persistent pool. Workers are spawned on demand; after a batch a
-   worker lingers for a short grace window polling for the next batch,
-   then retires (the domain exits). A harness fanning out batch after
-   batch therefore pays the domain-spawn cost once per burst instead of
-   once per call, while a process that goes back to single-domain work
-   sheds its workers within the grace window.
-
-   Retiring matters as much as reuse: an idle domain is not free. Every
-   minor collection is a stop-the-world rendezvous of *all* live
-   domains, and a domain blocked in a condition wait (or a sleep) joins
-   it through its backup thread — a scheduling round-trip that on a
-   busy single-core host can multiply the cost of purely sequential
-   phases. Parking workers indefinitely on a condition variable would
-   tax every allocation the main domain makes for the rest of the
-   process; bounding the idle window bounds that tax.
-
-   Only [jobs - 1] of the live workers actually claim chunks (the
-   [slots] gate below): the pool never grows past the largest request,
-   but a smaller request must not be serviced by more domains than it
-   asked for. *)
-type worker = { w_id : int; w_handle : unit Domain.t }
-
-type pool = {
-  m : Mutex.t;
-  work_done : Condition.t;  (* submitter: [active] hit zero *)
-  mutable gen : int;
-  mutable run : unit -> unit;  (* the batch closure for [gen] *)
-  mutable active : int;  (* workers still inside the current batch *)
-  mutable size : int;  (* workers running a batch or in their grace *)
-  mutable busy : bool;  (* a submission is in flight *)
-  mutable shutdown : bool;
-  mutable members : worker list;
-  mutable retired : int list;  (* ids whose handles await a join *)
-}
-
-let pool =
-  {
-    m = Mutex.create ();
-    work_done = Condition.create ();
-    gen = 0;
-    run = ignore;
-    active = 0;
-    size = 0;
-    busy = false;
-    shutdown = false;
-    members = [];
-    retired = [];
-  }
-
-let grace = 0.025 (* seconds a worker lingers for the next batch *)
-
-let slice = 0.001 (* polling interval within the grace window *)
-
-(* Runs in a worker domain. [my_gen] is the generation the worker last
-   serviced (or was spawned at): a different [pool.gen] is a new batch.
-   All state decisions happen under [pool.m], so a worker either
-   observes a submission and participates, or retires and is excluded
-   from [size] before the submitter counts participants. *)
-let rec worker_loop my_gen =
-  let rec idle slept =
-    Mutex.lock pool.m;
-    if pool.gen <> my_gen then begin
-      let gen = pool.gen and run = pool.run in
-      Mutex.unlock pool.m;
-      run ();
-      Mutex.lock pool.m;
-      pool.active <- pool.active - 1;
-      if pool.active = 0 then Condition.signal pool.work_done;
-      Mutex.unlock pool.m;
-      worker_loop gen
-    end
-    else if pool.shutdown || slept >= grace then begin
-      pool.size <- pool.size - 1;
-      pool.retired <- (Domain.self () :> int) :: pool.retired;
-      Mutex.unlock pool.m
-    end
-    else begin
-      Mutex.unlock pool.m;
-      Unix.sleepf slice;
-      idle (slept +. slice)
-    end
-  in
-  idle 0.
-
-(* Join the handles of workers that have retired; their loops have
-   already returned (or are about to), so the joins are prompt. Called
-   with [pool.m] held; the joins themselves happen after release. *)
-let reap_locked () =
-  match pool.retired with
-  | [] -> fun () -> ()
-  | ids ->
-      let gone, kept =
-        List.partition (fun w -> List.mem w.w_id ids) pool.members
-      in
-      pool.members <- kept;
-      pool.retired <- [];
-      fun () -> List.iter (fun w -> Domain.join w.w_handle) gone
-
-let () =
-  at_exit (fun () ->
-      Mutex.lock pool.m;
-      pool.shutdown <- true;
-      let members = pool.members in
-      pool.members <- [];
-      pool.retired <- [];
-      Mutex.unlock pool.m;
-      (* Lingering workers notice [shutdown] within one polling slice;
-         batch participants finish their batch first. *)
-      List.iter (fun w -> Domain.join w.w_handle) members)
-
-let run_pooled ~jobs ~chunk ~n body =
-  let claim, finish = make_claim ~chunk ~n body in
-  Mutex.lock pool.m;
-  if pool.busy || pool.shutdown then begin
-    (* Nested submission (a task itself called into the pool) or a call
-       during interpreter teardown: fall back to spawn-per-call rather
-       than deadlock on the busy pool. *)
-    Mutex.unlock pool.m;
-    run_spawned ~jobs ~chunk ~n body
-  end
-  else begin
-    pool.busy <- true;
-    let join_retired = reap_locked () in
-    let g0 = pool.gen in
-    while pool.size < jobs - 1 do
-      let handle = spawn (fun () -> worker_loop g0) in
-      pool.members <-
-        { w_id = (Domain.get_id handle :> int); w_handle = handle }
-        :: pool.members;
-      pool.size <- pool.size + 1
-    done;
-    let slots = Atomic.make (jobs - 1) in
-    pool.run <- (fun () -> if Atomic.fetch_and_add slots (-1) > 0 then claim ());
-    pool.gen <- pool.gen + 1;
-    pool.active <- pool.size;
-    Mutex.unlock pool.m;
-    join_retired ();
-    claim ();
-    Mutex.lock pool.m;
-    while pool.active > 0 do
-      Condition.wait pool.work_done pool.m
-    done;
-    pool.run <- ignore;
-    pool.busy <- false;
-    Mutex.unlock pool.m;
-    finish ()
-  end
-
-let parallel_init ?jobs ?(chunk = 1) n f =
+let parallel_init ?jobs n f =
   if n < 0 then invalid_arg "Pool.parallel_init: negative length";
-  if chunk < 1 then invalid_arg "Pool: chunk must be positive";
   let jobs =
     match jobs with Some j when j >= 1 -> j | Some _ -> 1 | None -> default_jobs ()
   in
@@ -234,22 +54,17 @@ let parallel_init ?jobs ?(chunk = 1) n f =
   if jobs <= 1 then List.init n f
   else begin
     let out = Array.make n None in
-    run_pooled ~jobs ~chunk ~n (fun i -> out.(i) <- Some (f i));
+    run ~jobs ~n (fun i -> out.(i) <- Some (f i));
     List.init n (fun i ->
         match out.(i) with
         | Some y -> y
         | None -> assert false (* every index ran, or we re-raised above *))
   end
 
-let parallel_mapi ?jobs ?chunk f xs =
+let parallel_map ?jobs f xs =
   match xs with
   | [] -> []
-  | [ x ] -> [ f 0 x ]
+  | [ x ] -> [ f x ]
   | _ ->
       let inp = Array.of_list xs in
-      parallel_init ?jobs ?chunk (Array.length inp) (fun i -> f i inp.(i))
-
-let parallel_map ?jobs ?chunk f xs = parallel_mapi ?jobs ?chunk (fun _ x -> f x) xs
-
-let parallel_iter ?jobs ?chunk f xs =
-  ignore (parallel_map ?jobs ?chunk f xs)
+      parallel_init ?jobs (Array.length inp) (fun i -> f inp.(i))

@@ -1,4 +1,4 @@
-(** A dependency-free task pool over OCaml 5 domains.
+(** A dependency-free fan-out over OCaml 5 domains.
 
     The experiment harness fans independent seeded trials out across
     domains; every function here preserves input order in its output, so
@@ -6,57 +6,30 @@
     tasks themselves are independent (which per-trial RNG derivation
     guarantees — see [Chronus_topo.Rng.derive]).
 
-    Work is distributed dynamically: inputs are cut into chunks and
-    workers claim the next chunk from a shared atomic cursor, so a few
-    slow tasks (an [Opt.solve] hitting its timeout, say) do not idle the
-    other workers. If any task raises, no further chunks are started and
-    the first exception is re-raised in the calling domain.
+    Work is distributed dynamically: each domain claims the next input
+    from a shared atomic cursor, so a few slow tasks do not idle the
+    other domains. If any task raises, no further inputs are started and
+    the lowest-indexed exception is re-raised in the calling domain.
+
+    Each call spawns [jobs - 1] domains, runs tasks in the calling domain
+    alongside them, and joins them all before returning, so no domain
+    outlives its batch. A task may itself call into this module; the
+    nested call spawns its own domains.
 
     With [jobs = 1] (or a single-element input) everything runs in the
     calling domain with no spawns at all, so stack traces, printf
     debugging and determinism-sensitive tests behave exactly as in
-    pre-multicore code.
-
-    Worker domains persist across bursts of batches: the first
-    multi-job call spawns them, and after each batch they linger
-    briefly for the next one, so a harness fanning out batch after
-    batch pays the domain-spawn cost once per burst rather than per
-    call. A worker idle past its grace window retires — an idle domain
-    still joins every stop-the-world rendezvous and would otherwise
-    tax all subsequent single-domain phases of the process. The pool
-    never grows past the largest [jobs] ever requested, never services
-    a batch with more domains than it asked for, and is joined at
-    exit. A nested call (a task that itself calls into the pool) falls
-    back to spawn-per-call execution instead of deadlocking. *)
+    pre-multicore code. *)
 
 val default_jobs : unit -> int
 (** Worker count used when [?jobs] is omitted: the [CHRONUS_JOBS]
     environment variable when set (must be a positive integer, else
     [Invalid_argument]), otherwise [Domain.recommended_domain_count ()]. *)
 
-val parallel_map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map f xs] is [List.map f xs] computed on [jobs] domains.
-    Output order matches input order regardless of completion order.
-    [chunk] is the number of consecutive inputs a worker claims at a
-    time (default 1 — right for expensive tasks like experiment trials;
-    raise it for many cheap tasks). *)
+    Output order matches input order regardless of completion order. *)
 
-val parallel_mapi :
-  ?jobs:int -> ?chunk:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Like {!parallel_map}, passing each element's input position. *)
-
-val parallel_iter : ?jobs:int -> ?chunk:int -> ('a -> unit) -> 'a list -> unit
-(** [parallel_iter f xs] runs [f] on every element for its effects.
-    Unlike [List.iter] there is no ordering guarantee between elements,
-    so [f] must only perform independent (or internally synchronised)
-    effects. *)
-
-val parallel_init : ?jobs:int -> ?chunk:int -> int -> (int -> 'a) -> 'a list
+val parallel_init : ?jobs:int -> int -> (int -> 'a) -> 'a list
 (** [parallel_init n f] is [List.init n f] computed on [jobs] domains;
     the idiom for fanning out [n] seeded trials. *)
-
-val spawned_domains : unit -> int
-(** Cumulative number of domains this module has ever spawned — pool
-    workers plus spawn-per-call fallbacks. Monotone over the process
-    lifetime; two equal readings around a batch prove the batch reused
-    lingering workers. Exposed for tests and diagnostics. *)

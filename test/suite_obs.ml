@@ -162,9 +162,10 @@ end
 let test_counter_across_domains () =
   let c = Obs.Counter.v "test.obs.counter" in
   let before = Obs.Counter.value c in
-  Pool.parallel_iter ~jobs:4
-    (fun _ -> Obs.Counter.incr c)
-    (List.init 1000 Fun.id);
+  ignore
+    (Pool.parallel_map ~jobs:4
+       (fun _ -> Obs.Counter.incr c)
+       (List.init 1000 Fun.id));
   Alcotest.(check int)
     "1000 increments from 4 domains all land" 1000
     (Obs.Counter.value c - before);
@@ -179,7 +180,7 @@ let test_gauge_high_water () =
   let g = Obs.Gauge.v "test.obs.gauge" in
   List.iter (Obs.Gauge.observe g) [ 5; 3; 9; 2 ];
   Alcotest.(check int) "keeps the maximum" 9 (Obs.Gauge.value g);
-  Pool.parallel_iter ~jobs:4 (Obs.Gauge.observe g) (List.init 64 Fun.id);
+  ignore (Pool.parallel_map ~jobs:4 (Obs.Gauge.observe g) (List.init 64 Fun.id));
   Alcotest.(check int) "concurrent maximum" 63 (Obs.Gauge.value g)
 
 let test_kind_clash () =

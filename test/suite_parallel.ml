@@ -11,11 +11,7 @@ let test_ordering () =
       Alcotest.(check (list int))
         (Printf.sprintf "map order preserved at jobs=%d" jobs)
         expected
-        (Pool.parallel_map ~jobs square input);
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunked map order preserved at jobs=%d" jobs)
-        expected
-        (Pool.parallel_map ~jobs ~chunk:7 square input))
+        (Pool.parallel_map ~jobs square input))
     [ 1; 2; 8 ]
 
 let test_init () =
@@ -27,11 +23,6 @@ let test_init () =
         (Pool.parallel_init ~jobs 33 square))
     [ 1; 2; 8 ]
 
-let test_mapi () =
-  Alcotest.(check (list int))
-    "mapi passes positions" [ 10; 21; 32 ]
-    (Pool.parallel_mapi ~jobs:2 (fun i x -> x + i) [ 10; 20; 30 ])
-
 let test_edge_inputs () =
   List.iter
     (fun jobs ->
@@ -42,13 +33,6 @@ let test_edge_inputs () =
       Alcotest.(check (list int)) "zero-length init" []
         (Pool.parallel_init ~jobs 0 square))
     [ 1; 2; 8 ]
-
-let test_iter_runs_all () =
-  let hits = Atomic.make 0 in
-  Pool.parallel_iter ~jobs:4
-    (fun _ -> Atomic.incr hits)
-    (List.init 57 Fun.id);
-  Alcotest.(check int) "every element visited" 57 (Atomic.get hits)
 
 let test_exception_propagates () =
   List.iter
@@ -65,58 +49,36 @@ let test_exception_propagates () =
     [ 1; 2; 8 ]
 
 let test_exception_cancels () =
-  (* Once a task fails, no chunk past the failure should start: with the
-     failing task at position 0 and chunk 1, far fewer than all 200
-     tasks run before the pool drains. Can't assert an exact count —
-     workers legitimately finish chunks already claimed — but all-200
-     would mean cancellation never happened. *)
+  (* Once a task fails, no input past the failure should start: with the
+     failing task at position 0, far fewer than all 200 tasks run before
+     the batch drains. Can't assert an exact count — other domains
+     legitimately finish tasks already claimed — but all-200 would mean
+     cancellation never happened. *)
   let started = Atomic.make 0 in
   (try
-     Pool.parallel_iter ~jobs:2
-       (fun i ->
-         Atomic.incr started;
-         if i = 0 then failwith "early")
-       (List.init 200 Fun.id)
+     ignore
+       (Pool.parallel_map ~jobs:2
+          (fun i ->
+            Atomic.incr started;
+            if i = 0 then failwith "early")
+          (List.init 200 Fun.id))
    with Failure _ -> ());
   Alcotest.(check bool) "later chunks cancelled" true
     (Atomic.get started < 200)
 
-(* The pool is persistent: after a warm-up batch, further batches at the
-   same (or a smaller) job count must not spawn any new domain. *)
-let test_pool_reuse () =
-  let input = List.init 64 Fun.id in
-  let expected = List.map square input in
-  ignore (Pool.parallel_map ~jobs:3 square input);
-  let before = Pool.spawned_domains () in
-  for _ = 1 to 5 do
-    Alcotest.(check (list int))
-      "warm batch correct" expected
-      (Pool.parallel_map ~jobs:3 square input)
-  done;
-  Alcotest.(check int) "no new domains across batches" before
-    (Pool.spawned_domains ());
-  ignore (Pool.parallel_map ~jobs:2 square input);
-  Alcotest.(check int) "smaller batches reuse parked workers" before
-    (Pool.spawned_domains ())
+(* The [.mli] promise behind sequential debugging: at jobs=1 no domain
+   is spawned, so every task runs in the caller's domain. *)
+let test_jobs1_in_caller () =
+  let self = Domain.self () in
+  let in_caller _ = Domain.self () = self in
+  Alcotest.(check bool) "map tasks in the calling domain" true
+    (List.for_all Fun.id
+       (Pool.parallel_map ~jobs:1 in_caller (List.init 16 Fun.id)));
+  Alcotest.(check bool) "init tasks in the calling domain" true
+    (List.for_all Fun.id (Pool.parallel_init ~jobs:1 16 in_caller))
 
-let test_pool_reuse_after_failure () =
-  ignore (Pool.parallel_map ~jobs:3 square (List.init 16 Fun.id));
-  let before = Pool.spawned_domains () in
-  (try
-     ignore
-       (Pool.parallel_map ~jobs:3
-          (fun _ -> failwith "boom")
-          (List.init 16 Fun.id))
-   with Failure _ -> ());
-  Alcotest.(check (list int))
-    "pool survives a failing batch"
-    (List.init 32 square)
-    (Pool.parallel_map ~jobs:3 square (List.init 32 Fun.id));
-  Alcotest.(check int) "no new domains after the failure" before
-    (Pool.spawned_domains ())
-
-(* A task that itself calls into the pool must not deadlock on the busy
-   pool: nested submissions take the spawn-per-call fallback. *)
+(* A task that itself calls into the module runs a nested batch on
+   domains of its own; neither batch may deadlock or mix results. *)
 let test_nested_fallback () =
   let expected = List.init 8 square in
   let outer =
@@ -180,14 +142,11 @@ let suite =
     [
       Alcotest.test_case "map ordering" `Quick test_ordering;
       Alcotest.test_case "init" `Quick test_init;
-      Alcotest.test_case "mapi positions" `Quick test_mapi;
       Alcotest.test_case "empty and singleton" `Quick test_edge_inputs;
-      Alcotest.test_case "iter visits all" `Quick test_iter_runs_all;
       Alcotest.test_case "exception re-raised" `Quick test_exception_propagates;
       Alcotest.test_case "exception cancels" `Quick test_exception_cancels;
-      Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
-      Alcotest.test_case "pool reuse after failure" `Quick
-        test_pool_reuse_after_failure;
+      Alcotest.test_case "jobs=1 runs every task in the calling domain" `Quick
+        test_jobs1_in_caller;
       Alcotest.test_case "nested call falls back" `Quick test_nested_fallback;
       Alcotest.test_case "CHRONUS_JOBS env" `Quick test_jobs_env;
       Alcotest.test_case "experiments identical at any jobs" `Slow
