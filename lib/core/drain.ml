@@ -59,17 +59,31 @@ let view base sched =
   if n > 0 then exit.(n - 1) <- Horizon.Never;
   { base; arrival; exit }
 
-let on_old_path base v = Hashtbl.mem base.index v
-
-let prefix_delay base v =
-  match Hashtbl.find_opt base.index v with
-  | None -> None
-  | Some k -> Some base.prefix.(k)
-
 let last_arrival view v =
   match Hashtbl.find_opt view.base.index v with
   | None -> Horizon.Never
   | Some k -> view.arrival.(k)
+
+(* Adding the flip [(v, t)] tightens the diversion threshold seen strictly
+   downstream of [v] to [t - P_v] at most, and the arrival horizon is
+   monotone in that threshold, so the tentative horizon is the committed
+   one capped by the flip's own. *)
+let last_arrival_after_flip view ~flip:(v, t) y =
+  let { index; prefix; _ } = view.base in
+  match Hashtbl.find_opt index y with
+  | None -> Horizon.Never
+  | Some ky -> (
+      match Hashtbl.find_opt index v with
+      | Some kv when kv < ky ->
+          Horizon.min view.arrival.(ky)
+            (Horizon.Until (t - prefix.(kv) - 1 + prefix.(ky)))
+      | Some _ | None -> view.arrival.(ky))
+
+let is_upstream view ~of_:v z =
+  let index = view.base.index in
+  match (Hashtbl.find_opt index z, Hashtbl.find_opt index v) with
+  | Some kz, Some kv -> kz < kv
+  | _ -> false
 
 let last_old_exit view v =
   match Hashtbl.find_opt view.base.index v with

@@ -7,8 +7,10 @@
     switch [v_k] for cohorts injected at [s - P_j] or later, i.e. arrivals
     at [v_k] from step [s - P_j + P_k] on. These closed-form horizons are
     what Algorithm 3's dependency test and the greedy scheduler's safety
-    check consult, keeping each candidate test linear in the path length
-    instead of requiring a full oracle simulation. *)
+    check consult instead of a full oracle simulation. A view of the
+    committed schedule costs one pass over the path; a candidate's
+    tentative flip is then answered pointwise in O(1)
+    ({!last_arrival_after_flip}), with no view of the tentative schedule. *)
 
 open Chronus_graph
 open Chronus_flow
@@ -25,15 +27,23 @@ type view
 val view : t -> Schedule.t -> view
 (** O(|p_init|). Queries on the view are O(1). *)
 
-val on_old_path : t -> Graph.node -> bool
-
-val prefix_delay : t -> Graph.node -> int option
-(** Delay from the source to the switch along [p_init]. *)
-
 val last_arrival : view -> Graph.node -> Horizon.t
 (** Until when do pure-old-path cohorts keep *arriving* at the switch?
     [Never] for switches off the initial path. The source receives
     injections forever. *)
+
+val last_arrival_after_flip :
+  view -> flip:Graph.node * int -> Graph.node -> Horizon.t
+(** [last_arrival_after_flip (view d s) ~flip:(v, t) y] is
+    [last_arrival (view d (Schedule.add v t s)) y] for a [v] that [s]
+    does not schedule, in O(1): for [y] strictly downstream of [v] on
+    the initial path it is [min (last_arrival view y) (Until (t - P_v - 1
+    + P_y))], and everywhere else [last_arrival view y] — a switch's own
+    flip never changes its own arrivals. *)
+
+val is_upstream : view -> of_:Graph.node -> Graph.node -> bool
+(** [is_upstream view ~of_:v z]: does [z] lie strictly before [v] on the
+    initial path? [false] when either is off it. O(1). *)
 
 val last_old_exit : view -> Graph.node -> Horizon.t
 (** Until when do cohorts keep *entering* the link from this switch to its

@@ -101,8 +101,20 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
   let walk_tbl : (Graph.node, Safety.stream_walk) Hashtbl.t =
     Hashtbl.create 16
   in
-  let trace_walk dview x =
-    let feed = Drain.last_arrival dview x in
+  (* Analytic mode reads one drain view of the committed schedule: built
+     on first use after each commit, shared by the candidate checks and
+     the walk upkeep below. *)
+  let committed_view = ref None in
+  let committed () =
+    match !committed_view with
+    | Some d -> d
+    | None ->
+        let d = Drain.view drain !sched in
+        committed_view := Some d;
+        d
+  in
+  let trace_walk x =
+    let feed = Drain.last_arrival (committed ()) x in
     if Horizon.at_or_after feed !time then begin
       let cohort = Oracle.trace_from (Lazy.force tracer) !sched x !time in
       Hashtbl.replace walk_tbl x
@@ -111,7 +123,7 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
     else Hashtbl.remove walk_tbl x
   in
   let refresh_walks () =
-    let dview = Drain.view drain !sched in
+    let dview = committed () in
     let origins = Hashtbl.fold (fun x _ acc -> x :: acc) walk_tbl [] in
     List.iter
       (fun x ->
@@ -129,9 +141,8 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
       walk_tbl []
   in
   let note_commit v =
-    let dview = Drain.view drain !sched in
-    List.iter (fun x -> trace_walk dview x) (walks_crossing v);
-    if Instance.new_next inst v <> None then trace_walk dview v
+    List.iter trace_walk (walks_crossing v);
+    if Instance.new_next inst v <> None then trace_walk v
   in
   let live_walks () =
     Hashtbl.fold (fun _ w acc -> w :: acc) walk_tbl []
@@ -146,11 +157,12 @@ let run_scheduler ~mode ~relax_congestion ?oracle inst =
         Obs.Counter.incr c_oracle;
         Safety.of_report (Oracle.Checker.probe ck v !time)
     | None ->
-        Safety.analytic ~streams ~tracer:(Lazy.force tracer) inst drain
+        Safety.analytic ~streams ~tracer:(Lazy.force tracer) inst (committed ())
           !sched ~time:!time v
   in
   let commit_flip v =
     sched := Schedule.add v !time !sched;
+    committed_view := None;
     (* The commit promotes the candidate's own probe (memoised) into the
        checker's new base — no extra oracle work. *)
     Option.iter (fun ck -> ignore (Oracle.Checker.commit ck v !time)) checker;

@@ -90,15 +90,19 @@ let stream_arrivals_until view v =
    at the candidate — the pure old stream and every live earlier walk —
    merges onto its new outgoing link and travels together ([carried]
    units of demand). At every crossed link the merged stream additionally
-   meets the local old stream (while live) and every live earlier walk,
-   except walks that reached this switch through the candidate: those are
-   part of the merged stream already (their recorded suffix is the route
-   being rerouted). The link must have room for the total. *)
-let congestion_along_walk inst dview' view ~candidate visits =
+   meets the local old stream (while live under the candidate's flip) and
+   every live earlier walk, except walks that reached this switch through
+   the candidate: those are part of the merged stream already (their
+   recorded suffix is the route being rerouted). The link must have room
+   for the total. *)
+let congestion_along_walk inst dview view ~flip visits =
   let g = inst.Instance.graph in
   let d = inst.Instance.demand in
+  let candidate, _ = flip in
   let old_live y s =
-    if Horizon.at_or_after (Drain.last_arrival dview' y) s then 1 else 0
+    if Horizon.at_or_after (Drain.last_arrival_after_flip dview ~flip y) s
+    then 1
+    else 0
   in
   let walks_at ?blocker y s =
     List.length
@@ -128,34 +132,28 @@ let congestion_along_walk inst dview' view ~candidate visits =
       in
       scan visits
 
-let analytic ?(streams = no_streams) ~tracer inst drain sched ~time v =
+(* The candidate's own flip never changes its own arrivals, so the
+   committed view answers for [v] itself; downstream horizons under the
+   flip come pointwise from {!Drain.last_arrival_after_flip}. *)
+let analytic ?(streams = no_streams) ~tracer inst dview sched ~time v =
+  let old_until = Drain.last_arrival dview v in
+  let until = Horizon.max old_until (stream_arrivals_until streams v) in
   match Instance.new_next inst v with
   | None ->
       (* Deleting the rule: safe only once no traffic — old stream or
          redirected stream — arrives anymore, otherwise in-flight cohorts
          would be blackholed. *)
-      let dview = Drain.view drain sched in
-      let until =
-        Horizon.max
-          (Drain.last_arrival dview v)
-          (stream_arrivals_until streams v)
-      in
       if Horizon.before until time then Safe else Not_drained
   | Some _ ->
-      let tentative = Schedule.add v time sched in
-      let dview' = Drain.view drain tentative in
-      let until =
-        Horizon.max
-          (Drain.last_arrival dview' v)
-          (stream_arrivals_until streams v)
-      in
       if Horizon.before until time then
         (* Inert: no cohort will ever be redirected by this flip; traffic
            arriving later (once upstream flips) wants the new rule in
            place. *)
         Safe
       else begin
-        let cohort = Oracle.trace_from tracer tentative v time in
+        let cohort =
+          Oracle.trace_from tracer (Schedule.add v time sched) v time
+        in
         match cohort.Oracle.outcome with
         | Oracle.Looped w -> Would_loop w
         | Oracle.Dropped w -> Would_blackhole w
@@ -167,29 +165,17 @@ let analytic ?(streams = no_streams) ~tracer inst drain sched ~time v =
                situation Algorithm 4's backward walk detects). Cohorts fed
                by a redirected stream took a different route, so the
                check only applies while old arrivals are live. *)
-            let old_live =
-              Horizon.at_or_after (Drain.last_arrival dview' v) time
-            in
-            let prefix = Hashtbl.create 8 in
-            if old_live then begin
-              let rec collect x =
-                match Instance.old_prev inst x with
-                | None -> ()
-                | Some p ->
-                    Hashtbl.replace prefix p ();
-                    collect p
-              in
-              collect v
-            end;
             let revisited =
-              List.find_opt
-                (fun (z, _) -> Hashtbl.mem prefix z)
-                cohort.Oracle.visits
+              if Horizon.at_or_after old_until time then
+                List.find_opt
+                  (fun (z, _) -> Drain.is_upstream dview ~of_:v z)
+                  cohort.Oracle.visits
+              else None
             in
             match revisited with
             | Some (z, _) -> Would_loop z
             | None ->
-                congestion_along_walk inst dview' streams ~candidate:v
+                congestion_along_walk inst dview streams ~flip:(v, time)
                   cohort.Oracle.visits)
       end
 

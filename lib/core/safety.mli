@@ -15,7 +15,8 @@
       the link to carry them all (the generalisation of Algorithm 3's
       [2d] test). A walk that itself passes through the candidate before
       the probed switch is being rerouted by the very flip under test and
-      is not counted. Cost O(path length x live walks).
+      is not counted. Cost O(traced route length x live walks), reading one
+      drain view of the committed schedule.
     - {!of_report} reads a verdict off the dynamic-flow oracle's report
       on the whole tentative partial schedule. Exhaustive, cost
       proportional to the simulated window. It decides in the greedy's
@@ -66,13 +67,18 @@ val analytic :
   ?streams:stream_view ->
   tracer:Oracle.tracer ->
   Instance.t ->
-  Drain.t ->
+  Drain.view ->
   Schedule.t ->
   time:int ->
   Graph.node ->
   verdict
-(** [streams] defaults to {!no_streams}; [tracer] must be built over the
-    same instance ({!Oracle.tracer}). *)
+(** [analytic ~tracer inst dview sched ~time v]: may [v], which [sched]
+    does not schedule, flip at [time]? [dview] must be
+    [Drain.view (Drain.make inst) sched], the view of the schedule
+    passed; the check never builds a view of the tentative schedule, so
+    one view serves every candidate until the next commit. [streams]
+    defaults to {!no_streams}; [tracer] must be built over the same
+    instance ({!Oracle.tracer}). *)
 
 val of_report : Oracle.report -> verdict
 (** The verdict for a tentative schedule, from the oracle's report on it:

@@ -390,10 +390,10 @@ let trace_window ctx params =
    iteration order and the order of [sims] — which is what lets the
    incremental checker guarantee reports *identical* to a from-scratch
    evaluation. *)
-let assemble inst ctx params sims =
+let assemble ?(size = 256) inst ctx params sims =
   let demand = inst.Instance.demand in
   let { tau_start; stable_from; s_off; s_nxt; rep_viol; _ } = params in
-  let loads = Itbl.create 256 in
+  let loads = Itbl.create size in
   let flow_violations =
     ref (match rep_viol with None -> [] | Some v -> [ v ])
   in
@@ -476,7 +476,15 @@ let evaluate_on ctx inst sched =
   let params = compute_params inst ctx sched in
   let sims = trace_window ctx params in
   clear_flips ctx sched;
-  (params, sims, assemble inst ctx params sims)
+  (* A long window would otherwise grow the load table through every
+     doubling. The table resizes only past two keys a bucket, so half the
+     window's entry count never resizes and is no larger than growth
+     would make it. Probes keep the small default, which suits their few
+     retraced cohorts. *)
+  let entries =
+    List.fold_left (fun n s -> n + Array.length s.s_entries) 0 sims
+  in
+  (params, sims, assemble ~size:(entries / 2) inst ctx params sims)
 
 let evaluate ?background inst sched =
   let _, _, report = evaluate_on (make_ctx ?background inst) inst sched in

@@ -136,9 +136,93 @@ let test_expiries () =
   Alcotest.(check bool) "sorted" true (List.sort compare expiries = expiries);
   Alcotest.(check bool) "contains v5 horizon" true (List.mem 2 expiries)
 
+(* The pointwise queries against the views they replace. Instances are
+   the paper's random reroutes (6-20 switches) and Fig. 10's long chains
+   (30-80 switches), each with a random partial schedule drawn from the
+   same seed, so QCheck shrinks over one integer. *)
+module Rng = Chronus_topo.Rng
+module Scenario = Chronus_topo.Scenario
+
+let drain_case seed =
+  let rng = Rng.make seed in
+  let inst =
+    if Rng.bool rng then
+      Scenario.random_final ~rng (Scenario.spec (Rng.in_range rng 6 20))
+    else
+      Scenario.long_chain ~rng
+        (Scenario.spec ~capacity_choices:[ 2 ] (Rng.in_range rng 30 80))
+  in
+  let sched =
+    List.fold_left
+      (fun acc v ->
+        if Rng.int rng 3 = 0 then Schedule.add v (Rng.in_range rng 0 8) acc
+        else acc)
+      Schedule.empty
+      (Instance.switches_to_update inst)
+  in
+  (inst, sched)
+
+let arbitrary_drain_case =
+  QCheck.make
+    ~print:(fun seed ->
+      let inst, sched = drain_case seed in
+      Format.asprintf "seed %d:@ %a@ under %a" seed Instance.pp inst
+        Schedule.pp sched)
+    QCheck.Gen.(0 -- 10_000)
+
+(* Every switch of either path, plus one that is on neither. *)
+let nodes_of inst =
+  List.sort_uniq compare
+    ((-1 :: inst.Instance.p_init) @ inst.Instance.p_fin)
+
+let after_flip_matches_view =
+  QCheck.Test.make ~count:60 ~name:"last_arrival_after_flip = view of add"
+    arbitrary_drain_case (fun seed ->
+      let inst, sched = drain_case seed in
+      let drain = Drain.make inst in
+      let view = Drain.view drain sched in
+      let nodes = nodes_of inst in
+      let t_hi = Schedule.max_time sched + 3 in
+      List.for_all
+        (fun v ->
+          Schedule.mem v sched
+          || List.for_all
+               (fun t ->
+                 let tentative = Drain.view drain (Schedule.add v t sched) in
+                 List.for_all
+                   (fun y ->
+                     Horizon.equal
+                       (Drain.last_arrival_after_flip view ~flip:(v, t) y)
+                       (Drain.last_arrival tentative y))
+                   nodes)
+               (List.init (t_hi + 1) Fun.id))
+        nodes)
+
+let is_upstream_matches_old_prev =
+  QCheck.Test.make ~count:60 ~name:"is_upstream = old_prev chain"
+    arbitrary_drain_case (fun seed ->
+      let inst, sched = drain_case seed in
+      let view = Drain.view (Drain.make inst) sched in
+      let rec chain acc x =
+        match Instance.old_prev inst x with
+        | None -> acc
+        | Some p -> chain (p :: acc) p
+      in
+      let nodes = nodes_of inst in
+      List.for_all
+        (fun v ->
+          let prefix = chain [] v in
+          List.for_all
+            (fun z -> Drain.is_upstream view ~of_:v z = List.mem z prefix)
+            nodes)
+        nodes)
+
 let suite =
   ( "drain",
-    [
+    List.map
+      (QCheck_alcotest.to_alcotest ~long:false)
+      [ after_flip_matches_view; is_upstream_matches_old_prev ]
+    @ [
       Alcotest.test_case "horizon algebra" `Quick test_horizon_algebra;
       Alcotest.test_case "no schedule, flows forever" `Quick
         test_unscheduled_flows_forever;

@@ -27,10 +27,10 @@ let test_loop_check_timed () =
 
 let test_safety_verdicts () =
   let inst = Helpers.fig1 () in
-  let drain = Drain.make inst in
+  let dview = Drain.view (Drain.make inst) Schedule.empty in
   let tracer = Oracle.tracer inst in
   (* v3 at t0 congests (v5, v6): redirected flow meets the old stream. *)
-  (match Safety.analytic ~tracer inst drain Schedule.empty ~time:0 3 with
+  (match Safety.analytic ~tracer inst dview Schedule.empty ~time:0 3 with
   | Safety.Would_congest (5, 6, 1) -> ()
   | other ->
       Alcotest.failf "expected congestion on (5,6) at t=1, got %a"
@@ -38,13 +38,13 @@ let test_safety_verdicts () =
   (* v2 at t0 is safe, and the oracle agrees. *)
   Alcotest.(check bool) "v2 analytic safe" true
     (Safety.is_safe
-       (Safety.analytic ~tracer inst drain Schedule.empty ~time:0 2));
+       (Safety.analytic ~tracer inst dview Schedule.empty ~time:0 2));
   Alcotest.(check bool) "v2 exact safe" true
     (Safety.is_safe
        (Safety.of_report
           (Oracle.evaluate inst (Schedule.add 2 0 Schedule.empty))));
   (* v4 at t0 loops. *)
-  (match Safety.analytic ~tracer inst drain Schedule.empty ~time:0 4 with
+  (match Safety.analytic ~tracer inst dview Schedule.empty ~time:0 4 with
   | Safety.Would_loop _ -> ()
   | other -> Alcotest.failf "expected loop, got %a" Safety.pp_verdict other)
 
@@ -56,13 +56,18 @@ let test_safety_delete_gating () =
   let drain = Drain.make inst in
   let tracer = Oracle.tracer inst in
   (* Deleting v1 before anything diverted its traffic must wait. *)
-  (match Safety.analytic ~tracer inst drain Schedule.empty ~time:0 1 with
+  (match
+     Safety.analytic ~tracer inst
+       (Drain.view drain Schedule.empty)
+       Schedule.empty ~time:0 1
+   with
   | Safety.Not_drained -> ()
   | other -> Alcotest.failf "expected Not_drained, got %a" Safety.pp_verdict other);
   (* Once v0 has flipped at t0, v1 is drained from t1 on. *)
   let sched = Schedule.of_list [ (0, 0) ] in
   Alcotest.(check bool) "drained at t1" true
-    (Safety.is_safe (Safety.analytic ~tracer inst drain sched ~time:1 1))
+    (Safety.is_safe
+       (Safety.analytic ~tracer inst (Drain.view drain sched) sched ~time:1 1))
 
 let test_greedy_on_fig1 () =
   let inst = Helpers.fig1 () in

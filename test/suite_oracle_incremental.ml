@@ -393,6 +393,76 @@ let test_golden_fallback () =
     (Schedule.to_list s);
   Alcotest.(check bool) "seed 271828 fallback not clean" false clean
 
+(* Analytic mode, as the Figs. 7-11 trials run it: the schedule, the
+   candidate checks and the waits (an Exact redo's included), dumped
+   from the tree whose checks still built a drain view of every
+   tentative schedule. The nine seeds land on their Exact schedules
+   above; the long chains are Fig. 10's shape at 300-600 switches. *)
+let golden_analytic_counts =
+  [
+    (1, 24, 2); (7, 37, 2); (23, 18, 1); (123, 40, 1); (777, 9, 1);
+    (2024, 22, 2); (4242, 4, 0); (9001, 9, 2); (31415, 15, 2);
+  ]
+
+let golden_analytic_chains =
+  [
+    ( 1,
+      300,
+      [
+        (59, 0); (60, 2); (61, 5); (62, 8); (63, 11); (64, 13); (65, 14);
+        (66, 15); (67, 18);
+      ],
+      143,
+      6 );
+    ( 2,
+      450,
+      [
+        (8, 0); (9, 1); (10, 2); (11, 5); (12, 6); (13, 7); (14, 8); (15, 11);
+        (16, 12);
+      ],
+      97,
+      2 );
+    ( 3,
+      600,
+      [
+        (459, 0); (460, 2); (461, 3); (462, 4); (463, 7); (464, 10);
+        (465, 12); (466, 13); (467, 14);
+      ],
+      121,
+      4 );
+  ]
+
+let check_analytic what inst golden cands waits =
+  match Greedy.schedule_with_stats ~mode:Greedy.Analytic inst with
+  | Greedy.Scheduled s, stats ->
+      Alcotest.check sched_t
+        (what ^ " analytic schedule unchanged")
+        golden (Schedule.to_list s);
+      Alcotest.(check int)
+        (what ^ " candidates checked unchanged")
+        cands stats.Greedy.candidates_checked;
+      Alcotest.(check int) (what ^ " waits unchanged") waits stats.Greedy.waits
+  | Greedy.Infeasible _, _ -> Alcotest.failf "%s unexpectedly infeasible" what
+
+let test_golden_analytic () =
+  List.iter
+    (fun (seed, cands, waits) ->
+      check_analytic
+        (Printf.sprintf "seed %d" seed)
+        (Helpers.instance_of_seed seed)
+        (List.assoc seed golden_greedy)
+        cands waits)
+    golden_analytic_counts;
+  List.iter
+    (fun (seed, n, golden, cands, waits) ->
+      let inst =
+        Chronus_topo.Scenario.long_chain ~rng:(Rng.make seed)
+          (Chronus_topo.Scenario.spec ~capacity_choices:[ 2 ] n)
+      in
+      check_analytic (Printf.sprintf "chain %d (n=%d)" seed n) inst golden
+        cands waits)
+    golden_analytic_chains
+
 let test_golden_opt () =
   let fig1 = Opt.solve ~budget:200_000 ~timeout:10.0 (Helpers.fig1 ()) in
   (match fig1.Opt.outcome with
@@ -444,5 +514,7 @@ let suite =
         Alcotest.test_case "golden greedy schedules" `Quick test_golden_greedy;
         Alcotest.test_case "golden fallback schedules" `Quick
           test_golden_fallback;
+        Alcotest.test_case "golden analytic schedules and counts" `Quick
+          test_golden_analytic;
         Alcotest.test_case "golden opt makespans" `Slow test_golden_opt;
       ] )

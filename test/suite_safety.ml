@@ -24,13 +24,13 @@ let test_analytic_never_accepts_loops () =
      the multi-stream view, but misrouting may not slip through). *)
   for seed = 300 to 339 do
     let inst = Helpers.instance_of_seed seed in
-    let drain = Drain.make inst in
+    let dview = Drain.view (Drain.make inst) Schedule.empty in
     let tracer = Oracle.tracer inst in
     List.iter
       (fun v ->
         if
           Safety.is_safe
-            (Safety.analytic ~tracer inst drain Schedule.empty ~time:0 v)
+            (Safety.analytic ~tracer inst dview Schedule.empty ~time:0 v)
         then begin
           let tentative = Schedule.add v 0 Schedule.empty in
           let report = Oracle.evaluate inst tentative in
@@ -88,10 +88,11 @@ let test_analytic_walk_counting () =
     let cohort = Oracle.trace_from tracer sched 0 0 in
     Safety.make_walk ~feed:Horizon.Forever ~base:0 cohort.Oracle.visits
   in
-  let without = Safety.analytic ~tracer inst drain sched ~time:0 1 in
+  let dview = Drain.view drain sched in
+  let without = Safety.analytic ~tracer inst dview sched ~time:0 1 in
   let with_walk =
     Safety.analytic ~streams:(Safety.view_of_walks [ walk ]) ~tracer inst
-      drain sched ~time:0 1
+      dview sched ~time:0 1
   in
   Alcotest.(check bool) "pairwise view accepts" true (Safety.is_safe without);
   (match with_walk with
