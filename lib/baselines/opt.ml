@@ -183,4 +183,3 @@ let solve ?(budget = 500_000) ?(timeout = 60.0) ?horizon ?hint inst =
             else finish Unknown)
   end
 
-let makespan_of r = r.makespan

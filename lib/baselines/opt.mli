@@ -44,4 +44,3 @@ val solve :
     supplies the upper bound and is the [Feasible] fallback when the
     budget runs out. *)
 
-val makespan_of : result -> int option

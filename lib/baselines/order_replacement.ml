@@ -42,21 +42,6 @@ let replaceable_switches inst =
       | Instance.Modify | Instance.Add -> Some u.Instance.switch)
     (Instance.updates inst)
 
-let interleavings_loop_free inst ~done_ ~round =
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let subs = subsets rest in
-        subs @ List.map (fun s -> x :: s) subs
-  in
-  List.for_all
-    (fun applied ->
-      let g =
-        forwarding_graph inst ~new_rule:(done_ @ applied) ~both:[]
-      in
-      not (Cycle.has_cycle g))
-    (subsets round)
-
 let greedy_rounds inst =
   let all = replaceable_switches inst in
   let rec build done_ remaining rounds =

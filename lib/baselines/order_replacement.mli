@@ -49,9 +49,3 @@ val schedule_of_rounds :
     at [i * gap] (default gap: 8) and each switch lands at
     [i * gap + jitter] with [0 <= jitter < gap] — the random per-switch
     rule-installation latency that makes the data plane asynchronous. *)
-
-val interleavings_loop_free :
-  Instance.t -> done_:Graph.node list -> round:Graph.node list -> bool
-(** Test helper: enumerate every subset of the round as "already applied"
-    and check the forwarding graph for loops. Exponential; agrees with
-    {!round_safe} by construction of the characterisation. *)

@@ -1,4 +1,3 @@
-open Chronus_graph
 open Chronus_flow
 
 type rule_count = { steady : int; transition_peak : int }
@@ -19,34 +18,3 @@ let chronus_rule_count inst =
     (Ints.remove
        (Instance.destination inst)
        (Ints.union (on_path inst.Instance.p_init) (on_path inst.Instance.p_fin)))
-
-let path_of_cohort inst ~flip tau =
-  if tau < flip then inst.Instance.p_init else inst.Instance.p_fin
-
-let prefix_delay_on g p v =
-  match Path.prefix_to p v with
-  | None -> None
-  | Some prefix -> Some (Path.delay g prefix)
-
-let congested_links inst ~flip =
-  let g = inst.Instance.graph in
-  let d = inst.Instance.demand in
-  List.filter_map
-    (fun (u, v) ->
-      if Path.mem_edge u v inst.Instance.p_fin then
-        match
-          ( prefix_delay_on g inst.Instance.p_init u,
-            prefix_delay_on g inst.Instance.p_fin u )
-        with
-        | Some p_old, Some p_new
-          when p_old > p_new && Graph.capacity g u v < 2 * d ->
-            (* Witness: the last old-tag cohort meets a new-tag cohort. *)
-            Some (u, v, flip - 1 + p_old)
-        | _ -> None
-      else None)
-    (Path.edges inst.Instance.p_init)
-
-let is_per_packet_consistent inst ~flip =
-  ignore flip;
-  Path.is_valid inst.Instance.graph inst.Instance.p_init
-  && Path.is_valid inst.Instance.graph inst.Instance.p_fin

@@ -11,7 +11,6 @@
     transmission delays, and it doubles the rule footprint during the
     transition — the cost plotted in Fig. 9. *)
 
-open Chronus_graph
 open Chronus_flow
 
 type rule_count = {
@@ -26,20 +25,3 @@ val rule_count : Instance.t -> rule_count
 val chronus_rule_count : Instance.t -> int
 (** Rules Chronus needs during the same transition: one per switch on
     either path (actions are modified in place, no versioned copies). *)
-
-(** Cohort-level behaviour: packets stamped before the flip follow the
-    initial path, packets stamped after follow the final path. *)
-
-val path_of_cohort : Instance.t -> flip:int -> int -> Path.t
-(** The path of the cohort injected at a given step under an ingress flip
-    at step [flip]. *)
-
-val congested_links : Instance.t -> flip:int -> (Graph.node * Graph.node * int) list
-(** Time-extended links that exceed capacity during the transition:
-    a link shared by both paths clashes when the old-path prefix delay
-    exceeds the new-path prefix delay (an old-tag cohort and a younger
-    new-tag cohort enter it at the same step). Independent of [flip]
-    except for the step labels. *)
-
-val is_per_packet_consistent : Instance.t -> flip:int -> bool
-(** Always [true]; exercised as a property test. *)

@@ -96,13 +96,3 @@ let expiries view =
   let acc = Array.fold_left collect acc view.exit in
   List.sort_uniq compare acc
 
-let all_drained_by view =
-  let base = view.base in
-  let g = base.inst.Instance.graph in
-  let n = Array.length base.order in
-  let acc = ref Horizon.Never in
-  for k = 0 to n - 2 do
-    let link_delay = Graph.delay g base.order.(k) base.order.(k + 1) in
-    acc := Horizon.max !acc (Horizon.add view.exit.(k) link_delay)
-  done;
-  !acc

@@ -50,11 +50,6 @@ val last_old_exit : view -> Graph.node -> Horizon.t
     old next hop? Stops both when upstream diverts and when the switch's
     own rule flips. [Never] off the initial path and at the destination. *)
 
-val all_drained_by : view -> Horizon.t
-(** A step from which no old-path link carries flow anymore: the latest
-    [last_old_exit] plus the final link delay. [Forever] while some
-    old-path switch has no scheduled diverter upstream. *)
-
 val expiries : view -> int list
 (** The sorted finite horizon values of the view (arrival and exit
     horizons over all old-path switches). The scheduler's state can only

@@ -4,10 +4,12 @@
     (Figs. 7 and 8 count exactly these cases) still need *some* timed
     schedule to execute and measure. The fallback re-runs the greedy with
     the capacity constraints relaxed ({!Greedy.schedule} with
-    [relax_congestion]): the result covers every switch, may overload
-    links, but still never misroutes traffic. Should even that leave
-    switches unplaced, they are appended after a full drain pause in
-    reverse final-path order. *)
+    [relax_congestion]): the result covers every switch and may overload
+    links. In [Exact] mode (the default) it never misroutes traffic; in
+    [Analytic] mode the relaxed schedule is never validated and may also
+    loop or blackhole. Should even that leave switches unplaced, they
+    are appended after a full drain pause in reverse final-path
+    order. *)
 
 open Chronus_flow
 

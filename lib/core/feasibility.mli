@@ -1,10 +1,9 @@
-(** Bounded exhaustive search over timed schedules — the ground truth that
-    the polynomial algorithms are tested against, and the reference
-    implementation of "solve the integer program by enumeration".
+(** The default search horizon of the exact solvers.
 
-    MUTP is NP-complete (Theorem 1), so this only scales to a handful of
-    updates; the branch-and-bound solver in [chronus_baselines.Opt] is the
-    one used at evaluation sizes. *)
+    MUTP is NP-complete (Theorem 1); the branch-and-bound solver in
+    [chronus_baselines.Opt] searches within this horizon unless told
+    otherwise. The exhaustive enumeration the solvers are tested against
+    is the model [test/model_feasibility.ml]. *)
 
 open Chronus_flow
 
@@ -12,13 +11,3 @@ val default_horizon : Instance.t -> int
 (** A makespan bound within which a feasible instance always has a
     solution: enough steps to update one switch at a time with a full
     drain pause in between. *)
-
-val find : ?horizon:int -> Instance.t -> Schedule.t option
-(** Some oracle-consistent complete schedule with all times below the
-    horizon, found by exhaustive enumeration; [None] if none exists. *)
-
-val exists : ?horizon:int -> Instance.t -> bool
-
-val min_makespan : ?horizon:int -> Instance.t -> (int * Schedule.t) option
-(** The smallest number of time steps of any consistent schedule, with a
-    witness. Exhaustive; use only on small instances. *)

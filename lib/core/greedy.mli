@@ -27,8 +27,10 @@ type mode =
           approximation missed an interaction (about half of random
           reroutes at 10–20 switches), the scheduler transparently redoes
           the work in [Exact] mode and counts it in
-          [greedy.analytic_redos] — so [Scheduled] results are always
-          oracle-consistent in both modes. *)
+          [greedy.analytic_redos] — so without [relax_congestion],
+          [Scheduled] results are always oracle-consistent in both
+          modes. A [relax_congestion] run is not validated in this mode:
+          its schedule may loop or blackhole as well as congest. *)
 
 type outcome =
   | Scheduled of Schedule.t
@@ -52,8 +54,10 @@ val schedule :
     With [relax_congestion] (default false) capacity violations no longer
     gate a flip — only transient loops and blackholes do. This is the
     best-effort engine behind {!Fallback}: on an instance with no
-    congestion-free schedule it still sequences every switch while
-    guaranteeing (in [Exact] mode) that no traffic is ever misrouted.
+    congestion-free schedule it still sequences every switch. Only in
+    [Exact] mode does it guarantee that no traffic is ever misrouted; an
+    [Analytic] relaxed schedule is never checked against the oracle and
+    may loop or blackhole.
 
     [oracle] (Exact mode) supplies an externally owned incremental
     {!Oracle.Checker} session to use instead of creating one per run —

@@ -1,10 +1,6 @@
 open Chronus_graph
 open Chronus_flow
 
-let objective = Schedule.makespan
-
-let is_solution inst sched = Oracle.is_consistent inst sched
-
 let all_at_zero inst =
   List.fold_left
     (fun s v -> Schedule.add v 0 s)
@@ -15,8 +11,6 @@ let lower_bound inst =
   if Instance.is_trivial inst then 0
   else if Oracle.is_consistent inst (all_at_zero inst) then 1
   else 2
-
-let upper_bound_hint = Feasibility.default_horizon
 
 (* Loop-free cohort paths through the mixed old/new rule space, with the
    time-extended links they occupy. *)

@@ -1,25 +1,18 @@
 (** The Minimum Update Time Problem (optimization program (3)).
 
-    The exact solvers live in [chronus_baselines.Opt] (branch and bound)
-    and {!Feasibility} (enumeration); this module states the problem:
-    objective, solution admissibility, bounds, and a textual rendering of
-    the integer program over the time-extended network for inspection. *)
+    The objective is the makespan [|T|] ([Schedule.makespan]); a solution
+    is a complete schedule that [Oracle.is_consistent] accepts. The exact
+    solver lives in [chronus_baselines.Opt] (branch and bound, within
+    {!Feasibility.default_horizon}); this module states a lower bound
+    and a textual rendering of the integer program over the
+    time-extended network for inspection. *)
 
 open Chronus_flow
-
-val objective : Schedule.t -> int
-(** [|T|]: the number of time steps spanned by the schedule. *)
-
-val is_solution : Instance.t -> Schedule.t -> bool
-(** Complete and oracle-consistent. *)
 
 val lower_bound : Instance.t -> int
 (** A makespan every solution must reach: 0 for trivial instances, else 1;
     refined to 2 when the dependency relation at [t_0] chains two
     non-inert switches (they can provably not share the first step). *)
-
-val upper_bound_hint : Instance.t -> int
-(** The sequential-with-drain bound used as the default search horizon. *)
 
 val render_ilp : ?horizon:int -> ?max_paths_per_flow:int -> Instance.t -> string
 (** Program (3) spelled out for this instance: the objective, one

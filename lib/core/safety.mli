@@ -60,7 +60,6 @@ type stream_view
 (** A set of stream walks indexed by the switches they cross, so that the
     per-candidate checks touch only the walks that matter. *)
 
-val no_streams : stream_view
 val view_of_walks : stream_walk list -> stream_view
 
 val analytic :
@@ -77,7 +76,7 @@ val analytic :
     [Drain.view (Drain.make inst) sched], the view of the schedule
     passed; the check never builds a view of the tentative schedule, so
     one view serves every candidate until the next commit. [streams]
-    defaults to {!no_streams}; [tracer] must be built over the same
+    defaults to no stream walks; [tracer] must be built over the same
     instance ({!Oracle.tracer}). *)
 
 val of_report : Oracle.report -> verdict

@@ -95,11 +95,6 @@ let crossings inst =
       | Some w -> Some (crossing_of inst u.Instance.switch w))
     (Instance.updates inst)
 
-let first_divergence inst =
-  List.find_opt
-    (fun v -> Instance.old_next inst v <> Instance.new_next inst v)
-    inst.Instance.p_init
-
 let check inst =
   Instance.is_trivial inst
   ||

@@ -45,11 +45,6 @@ type crossing = {
 val crossings : Instance.t -> crossing list
 (** One entry per Modify/Add update, sorted by switch id. *)
 
-val first_divergence : Instance.t -> Graph.node option
-(** The first switch along the initial path whose rule must change — the
-    switch that can never become inert because injected traffic always
-    reaches it. *)
-
 val check : Instance.t -> bool
 (** Polynomial feasibility decision. [true] means a consistent schedule
     exists (constructive: the greedy scheduler produced one). *)

@@ -13,7 +13,6 @@ type memo = {
   old_next_tbl : Graph.node Itbl.t;
   new_next_tbl : Graph.node Itbl.t;
   old_prev_tbl : Graph.node Itbl.t;
-  new_prev_tbl : Graph.node Itbl.t;
 }
 
 type t = {
@@ -57,15 +56,15 @@ let check_path g demand label p =
               label u v e.capacity demand)
     (Path.edges p)
 
-let hop_tables p =
-  let next = Itbl.create (List.length p) in
-  let prev = Itbl.create (List.length p) in
+(* Each switch of [p] to its successor, or with [~backward] to its
+   predecessor. *)
+let hop_table ?(backward = false) p =
+  let tbl = Itbl.create (List.length p) in
   List.iter
     (fun (u, v) ->
-      Itbl.replace next u v;
-      Itbl.replace prev v u)
+      if backward then Itbl.replace tbl v u else Itbl.replace tbl u v)
     (Path.edges p);
-  (next, prev)
+  tbl
 
 let create ~graph ~demand ~p_init ~p_fin =
   if demand < 1 then ill_formed "demand must be positive, got %d" demand;
@@ -78,15 +77,14 @@ let create ~graph ~demand ~p_init ~p_fin =
     ill_formed "paths have different destinations (v%d vs v%d)"
       (Path.destination p_init)
       (Path.destination p_fin);
-  let old_next_tbl, old_prev_tbl = hop_tables p_init in
-  let new_next_tbl, new_prev_tbl = hop_tables p_fin in
-  {
-    graph;
-    demand;
-    p_init;
-    p_fin;
-    memo = { old_next_tbl; new_next_tbl; old_prev_tbl; new_prev_tbl };
-  }
+  let memo =
+    {
+      old_next_tbl = hop_table p_init;
+      new_next_tbl = hop_table p_fin;
+      old_prev_tbl = hop_table ~backward:true p_init;
+    }
+  in
+  { graph; demand; p_init; p_fin; memo }
 
 let source i = Path.source i.p_init
 
@@ -97,8 +95,6 @@ let old_next i v = Itbl.find_opt i.memo.old_next_tbl v
 let new_next i v = Itbl.find_opt i.memo.new_next_tbl v
 
 let old_prev i v = Itbl.find_opt i.memo.old_prev_tbl v
-
-let new_prev i v = Itbl.find_opt i.memo.new_prev_tbl v
 
 let updates i =
   let module Ints = Set.Make (Int) in
@@ -195,11 +191,6 @@ let create_multi ~graph flows =
   }
 
 let flows m = m.m_flows
-
-let find_flow m fid = List.find_opt (fun f -> f.fid = fid) m.m_flows
-
-let flow_instance m f =
-  create ~graph:m.m_graph ~demand:f.f_demand ~p_init:f.f_init ~p_fin:f.f_fin
 
 let residual_graph g bg =
   let r = Graph.create ~size:(Graph.node_count g) () in

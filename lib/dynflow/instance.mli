@@ -50,8 +50,6 @@ val new_next : t -> Graph.node -> Graph.node option
 val old_prev : t -> Graph.node -> Graph.node option
 (** Predecessor on [p_init]. *)
 
-val new_prev : t -> Graph.node -> Graph.node option
-
 val updates : t -> update list
 (** Switches whose forwarding state differs between the two paths, sorted
     by switch id. The destination never appears. *)
@@ -78,9 +76,10 @@ val pp : Format.formatter -> t -> unit
     transaction at a time. A {!multi} captures that shared state: N
     flows, each with its own demand and (initial, final) path pair,
     interacting only through the capacity of shared links. Every flow
-    projects onto the single-flow machinery via {!flow_instance}; the
-    cross-flow capacity interaction is expressed as a {!background} load
-    function that {!Oracle.evaluate} charges on shared links. *)
+    projects onto the single-flow machinery as an instance over the
+    shared graph; the cross-flow capacity interaction is expressed as a
+    {!background} load function that {!Oracle.evaluate} charges on
+    shared links. *)
 
 type flow = {
   fid : int;  (** caller-chosen identifier, unique and non-negative *)
@@ -109,14 +108,6 @@ val create_multi : graph:Graph.t -> flow list -> multi
 
 val flows : multi -> flow list
 (** The flow set, sorted by [fid]. *)
-
-val find_flow : multi -> int -> flow option
-(** Look a flow up by [fid]. *)
-
-val flow_instance : multi -> flow -> t
-(** Project one flow onto a single-flow instance over the full-capacity
-    shared graph — the form the schedulers and the oracle consume. Never
-    raises for a flow of the [multi] (its validation already ran). *)
 
 val background : (int * Path.t) list -> Graph.node -> Graph.node -> int
 (** [background loads] is the steady load function of a set of routed

@@ -466,10 +466,9 @@ let assemble ?(size = 256) inst ctx params sims =
     window = (tau_start, stable_from);
   }
 
-(* The from-scratch evaluation behind [evaluate], [Checker.create] and
-   [Checker.rebase]: the stream parameters and the window cohorts of
-   [sched] on a context pointed at [inst], and the report assembled from
-   them. *)
+(* The from-scratch evaluation behind [evaluate] and [Checker.create]:
+   the window cohorts of [sched] on a context pointed at [inst], and the
+   report assembled from them. *)
 let evaluate_on ctx inst sched =
   Obs.Counter.incr c_full;
   set_flips ctx sched;
@@ -484,10 +483,10 @@ let evaluate_on ctx inst sched =
   let entries =
     List.fold_left (fun n s -> n + Array.length s.s_entries) 0 sims
   in
-  (params, sims, assemble ~size:(entries / 2) inst ctx params sims)
+  (sims, assemble ~size:(entries / 2) inst ctx params sims)
 
 let evaluate ?background inst sched =
-  let _, _, report = evaluate_on (make_ctx ?background inst) inst sched in
+  let _, report = evaluate_on (make_ctx ?background inst) inst sched in
   report
 
 (* The exhaustive variant backing {!link_loads}: materialise every cohort
@@ -548,32 +547,28 @@ let is_consistent ?background inst sched =
 module Checker = struct
   type probe_state = {
     p_sched : Schedule.t;
-    p_params : params;
     p_sims : sim list;
     p_report : report;
   }
 
-  type frame = {
-    f_base : Schedule.t;
-    f_params : params;
-    f_cache : sim Itbl.t;
-    f_index : (int * int) list Itbl.t;
-    f_report : report;
+  (* Everything the session derives from its base schedule. It is
+     replaced whole, so a [push] frame is just the previous value. *)
+  type based = {
+    base : Schedule.t;
+    cache : sim Itbl.t;  (** injection time -> cached trace *)
+    index : (int * int) list Itbl.t;
+        (** switch -> [(injection time, consult step)] over the cache *)
+    report : report;
   }
 
   type t = {
     mutable inst : Instance.t;
     ctx : ctx;
-    mutable base : Schedule.t;
-    mutable params : params;
-    mutable cache : sim Itbl.t;  (** injection time -> cached trace *)
-    mutable index : (int * int) list Itbl.t;
-        (** switch -> [(injection time, consult step)] over the cache *)
-    mutable report : report;
+    mutable cur : based;
     mutable memo : (Graph.node * int * probe_state) option;
         (** the last single-flip probe, for the probe-then-commit and
             probe-then-push patterns of the greedy and the B&B *)
-    mutable frames : frame list;
+    mutable frames : based list;
   }
 
   let build_index sims =
@@ -593,24 +588,23 @@ module Checker = struct
     List.iter (fun s -> Itbl.replace cache s.s_tau s) sims;
     cache
 
+  let with_base base sims report =
+    { base; cache = cache_of sims; index = build_index sims; report }
+
   let create ?background inst sched =
     let ctx = make_ctx ?background inst in
-    let params, sims, report = evaluate_on ctx inst sched in
-    {
-      inst;
-      ctx;
-      base = sched;
-      params;
-      cache = cache_of sims;
-      index = build_index sims;
-      report;
-      memo = None;
-      frames = [];
-    }
+    let sims, report = evaluate_on ctx inst sched in
+    { inst; ctx; cur = with_base sched sims report; memo = None; frames = [] }
 
-  let base ck = ck.base
+  let base ck = ck.cur.base
 
-  let base_report ck = ck.report
+  let base_report ck = ck.cur.report
+
+  let no_frames ck what =
+    match ck.frames with
+    | [] -> ()
+    | _ :: _ ->
+        invalid_arg ("Oracle.Checker." ^ what ^ ": outstanding push frames")
 
   let instance ck = ck.inst
 
@@ -623,50 +617,24 @@ module Checker = struct
   let retarget ?background ck inst =
     if not (inst.Instance.graph == ck.inst.Instance.graph) then
       invalid_arg "Oracle.Checker.retarget: instance is over a different graph";
-    if ck.frames <> [] then
-      invalid_arg "Oracle.Checker.retarget: outstanding push frames";
+    no_frames ck "retarget";
     Obs.Counter.incr c_retargets;
     retarget_ctx ck.ctx ?background inst;
     ck.inst <- inst;
-    ck.base <- Schedule.empty;
     let params = compute_params inst ck.ctx Schedule.empty in
-    ck.params <- params;
-    ck.cache <- Itbl.create 64;
-    ck.index <- Itbl.create 32;
-    ck.report <- assemble inst ck.ctx params [];
+    ck.cur <- with_base Schedule.empty [] (assemble inst ck.ctx params []);
     ck.memo <- None
-
-  (* Swap the cross-flow background load. Cached cohort traces are routing
-     state and never depend on the background, so only the capacity scan
-     needs a rerun: reassemble the base report from the cached window. *)
-  let set_background ck bg =
-    if ck.frames <> [] then
-      invalid_arg "Oracle.Checker.set_background: outstanding push frames";
-    ck.ctx.bg <- bg;
-    let sims = Itbl.fold (fun _ s acc -> s :: acc) ck.cache [] in
-    ck.report <- assemble ck.inst ck.ctx ck.params sims;
-    ck.memo <- None
-
-  let rebase ck sched =
-    let params, sims, report = evaluate_on ck.ctx ck.inst sched in
-    ck.base <- sched;
-    ck.params <- params;
-    ck.cache <- cache_of sims;
-    ck.index <- build_index sims;
-    ck.report <- report;
-    ck.memo <- None;
-    ck.frames <- []
 
   let compute_probe ck adds =
     let sched' =
-      List.fold_left (fun s (v, t) -> Schedule.add v t s) ck.base adds
+      List.fold_left (fun s (v, t) -> Schedule.add v t s) ck.cur.base adds
     in
     set_flips ck.ctx sched';
     let params' = compute_params ck.inst ck.ctx sched' in
     let affected = Itbl.create 8 in
     List.iter
       (fun (v, t) ->
-        match Itbl.find_opt ck.index v with
+        match Itbl.find_opt ck.cur.index v with
         | None -> ()
         | Some l ->
             List.iter
@@ -677,7 +645,7 @@ module Checker = struct
     let hits = ref 0 and retraced = ref 0 in
     for tau = params'.tau_start to params'.stable_from - 1 do
       let cached =
-        if Itbl.mem affected tau then None else Itbl.find_opt ck.cache tau
+        if Itbl.mem affected tau then None else Itbl.find_opt ck.cur.cache tau
       in
       match cached with
       | Some s ->
@@ -692,7 +660,6 @@ module Checker = struct
     Obs.Counter.incr ~by:!retraced c_retraced;
     {
       p_sched = sched';
-      p_params = params';
       p_sims = !sims;
       p_report = assemble ck.inst ck.ctx params' !sims;
     }
@@ -707,47 +674,33 @@ module Checker = struct
         ck.memo <- Some (v, t, st);
         st.p_report
 
-  let promote ck st =
-    ck.base <- st.p_sched;
-    ck.params <- st.p_params;
-    ck.cache <- cache_of st.p_sims;
-    ck.index <- build_index st.p_sims;
-    ck.report <- st.p_report;
-    ck.memo <- None
-
-  let commit ck v t =
+  (* Promote the probe of [(v, t)] into the new base. *)
+  let advance ck v t =
     let st =
       match ck.memo with
       | Some (mv, mt, st) when mv = v && mt = t -> st
       | _ -> compute_probe ck [ (v, t) ]
     in
-    promote ck st;
+    ck.cur <- with_base st.p_sched st.p_sims st.p_report;
+    ck.memo <- None;
     st.p_report
 
+  let commit ck v t =
+    no_frames ck "commit";
+    advance ck v t
+
   let push ck v t =
-    let saved =
-      {
-        f_base = ck.base;
-        f_params = ck.params;
-        f_cache = ck.cache;
-        f_index = ck.index;
-        f_report = ck.report;
-      }
-    in
-    let report = commit ck v t in
+    let saved = ck.cur in
+    let report = advance ck v t in
     ck.frames <- saved :: ck.frames;
     report
 
   let pop ck =
     match ck.frames with
     | [] -> invalid_arg "Oracle.Checker.pop: no pushed frame"
-    | f :: rest ->
+    | saved :: rest ->
         ck.frames <- rest;
-        ck.base <- f.f_base;
-        ck.params <- f.f_params;
-        ck.cache <- f.f_cache;
-        ck.index <- f.f_index;
-        ck.report <- f.f_report;
+        ck.cur <- saved;
         ck.memo <- None
 end
 

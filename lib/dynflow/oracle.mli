@@ -67,9 +67,6 @@ val trace_from : tracer -> Schedule.t -> Graph.node -> int -> cohort
     [t]; from a candidate switch, it is the first cohort its flip
     redirects, which Algorithm 4 examines. *)
 
-val compare_violation : violation -> violation -> int
-(** Structural order (same as polymorphic [compare], monomorphically). *)
-
 val evaluate :
   ?background:(Graph.node -> Graph.node -> int) -> Instance.t -> Schedule.t ->
   report
@@ -109,9 +106,9 @@ val evaluate :
     differentially on randomized scenarios.
 
     A checker is single-domain state; each domain builds its own.
-    [commit] (no undo) and [push]/[pop] (bracketed, for DFS) must
-    not be interleaved: commits while frames are outstanding would make
-    [pop] restore a stale base. *)
+    [commit] (no undo) and [push]/[pop] (bracketed, for DFS) do not
+    mix: [commit] and [retarget] raise while [push] frames are
+    outstanding. *)
 module Checker : sig
   type t
 
@@ -122,7 +119,8 @@ module Checker : sig
 
       [background] has the same meaning and contract as in {!evaluate}
       and is captured by the session: every subsequent [probe], [commit]
-      and [rebase] validates against the same cross-flow load. Cached
+      and [push] validates against the same cross-flow load, until a
+      [retarget] replaces it. Cached
       cohort traces are routing state and never depend on the background,
       so the incremental replay machinery is unchanged — only the final
       capacity scan reads it. *)
@@ -152,14 +150,6 @@ module Checker : sig
       @raise Invalid_argument on a different graph or with outstanding
       [push] frames. *)
 
-  val set_background : t -> (Graph.node -> Graph.node -> int) -> unit
-  (** Swap the session's cross-flow background load and reassemble the
-      base report from the cached cohort window (traces are routing state
-      and never depend on the background, so nothing is re-traced). The
-      session is then indistinguishable from one created with that
-      background. @raise Invalid_argument with outstanding [push]
-      frames. *)
-
   val probe : t -> Graph.node -> int -> report
   (** [probe ck v t] is [evaluate inst (Schedule.add v t (base ck))],
       incrementally. Does not change the base. The last single-flip probe
@@ -173,7 +163,9 @@ module Checker : sig
 
   val commit : t -> Graph.node -> int -> report
   (** Promote the probe of [(v, t)] into the new base and return its
-      report. *)
+      report. @raise Invalid_argument with outstanding [push] frames,
+      which [pop] could otherwise only restore by dropping the
+      commit. *)
 
   val push : t -> Graph.node -> int -> report
   (** Like [commit], remembering the previous base for [pop]. *)
@@ -181,10 +173,6 @@ module Checker : sig
   val pop : t -> unit
   (** Restore the base saved by the matching [push].
       @raise Invalid_argument without an outstanding [push]. *)
-
-  val rebase : t -> Schedule.t -> unit
-  (** Replace the base with a fresh from-scratch evaluation of an
-      arbitrary schedule, dropping all frames. *)
 end
 
 val is_consistent :
@@ -199,5 +187,4 @@ val link_loads :
     load entering at that step; sorted. This is the occupancy of the
     time-extended network of Definition 4. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

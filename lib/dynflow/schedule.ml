@@ -4,7 +4,7 @@ module Imap = Map.Make (Int)
    [entries] answers the oracle's per-hop [find] in O(log n); [by_time]
    groups switches by time step so that [max_time] (consulted on every
    oracle evaluation) is a max-binding lookup instead of a full fold, and
-   [at]/[distinct_times] no longer rescan the whole schedule per call.
+   [at] no longer rescans the whole schedule per call.
    Buckets keep insertion order; [at] sorts on read (it is presentation,
    not a hot path). *)
 type t = { entries : int Imap.t; by_time : int list Imap.t }
@@ -45,8 +45,6 @@ let max_time s =
 
 let makespan s = max_time s + 1
 
-let distinct_times s = List.map fst (Imap.bindings s.by_time)
-
 let at time s =
   match Imap.find_opt time s.by_time with
   | None -> []
@@ -55,23 +53,7 @@ let at time s =
 let covers instance s =
   List.for_all (fun v -> mem v s) (Instance.switches_to_update instance)
 
-let restrict_to instance s =
-  let keep = Instance.switches_to_update instance in
-  let keep_tbl = Hashtbl.create (List.length keep) in
-  List.iter (fun v -> Hashtbl.replace keep_tbl v ()) keep;
-  Imap.fold
-    (fun v t acc -> if Hashtbl.mem keep_tbl v then add v t acc else acc)
-    s.entries empty
-
 let fold f s init = Imap.fold f s.entries init
-
-let shift delta s =
-  Imap.fold
-    (fun v t acc ->
-      let t' = t + delta in
-      if t' < 0 then invalid_arg "Schedule.shift: negative time"
-      else add v t' acc)
-    s.entries empty
 
 let equal a b = Imap.equal Int.equal a.entries b.entries
 

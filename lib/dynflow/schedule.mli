@@ -33,26 +33,16 @@ val makespan : t -> int
 (** Number of time steps [|T|] spanned by the update: [max_time + 1]
     (the paper's objective counts steps from [t_0]); [0] when empty. *)
 
-val distinct_times : t -> int list
-(** The sorted set of time points in use. *)
-
 val at : int -> t -> Graph.node list
 (** Switches updated at a given time, sorted. *)
 
 val covers : Instance.t -> t -> bool
 (** All switches that the instance requires to update are scheduled. *)
 
-val restrict_to : Instance.t -> t -> t
-(** Drop entries for switches the instance does not update. *)
-
 val fold : (Graph.node -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f s init] folds [f switch time] over the entries in increasing
     switch order, without materialising an intermediate list — the
     oracle folds over every candidate schedule it evaluates. *)
-
-val shift : int -> t -> t
-(** Add a constant to every time. @raise Invalid_argument if any time would
-    become negative. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -21,4 +21,3 @@ val run : ?jobs:int -> ?scale:Scale.t -> unit -> row list
 
 val print : row list -> unit
 val name : string
-val timing_to_string : timing -> string

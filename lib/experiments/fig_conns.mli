@@ -35,10 +35,9 @@ type row = {
 
 val name : string
 
-val default_conns : Scale.t -> int list
-(** Tiny: 500 and 2,000 sessions; quick: 2,000 and 10,000; paper:
-    10,000 and 40,000. *)
-
 val run : ?jobs:int -> ?scale:Scale.t -> ?conns:int list -> unit -> row list
+(** One row per session count. [conns] defaults by scale — tiny: 500
+    and 2,000 sessions; quick: 2,000 and 10,000; paper: 10,000 and
+    40,000. *)
 
 val print : row list -> unit

@@ -55,10 +55,9 @@ val compiled_preinstall :
     count). Exposed so tests can walk the exact tables the figure
     runs on. *)
 
-val default_kinds : Scale.t -> kind list
-(** Tiny: [k=4] fat-tree and an 8-site WAN; quick adds [k=6,8,16], B4
-    and bigger WANs; paper scales to [k=32] and 128 sites. *)
-
 val run : ?jobs:int -> ?scale:Scale.t -> ?kinds:kind list -> unit -> row list
+(** One row per topology. [kinds] defaults by scale — tiny: a [k=4]
+    fat-tree and an 8-site WAN; quick adds [k=6,8,16], B4 and bigger
+    WANs; paper scales to [k=32] and 128 sites. *)
 
 val print : row list -> unit

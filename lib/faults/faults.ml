@@ -111,16 +111,6 @@ type fate = {
   crashed : bool;
 }
 
-let no_fault =
-  {
-    lost = false;
-    duplicated = false;
-    extra_delay_us = 0;
-    rejected = false;
-    straggle_us = 0;
-    crashed = false;
-  }
-
 (* Fault sites observed. Counters fire only when a fault actually
    happens, so a zero config leaves them untouched. *)
 let c_lost = Obs.Counter.v "faults.chan.lost"

@@ -69,8 +69,6 @@ type config = { clock : clock; channel : channel; switches : switch_f }
 val zero : config
 (** All magnitudes and probabilities zero — the provable no-op. *)
 
-val is_zero : config -> bool
-
 val drift : config
 (** Clock error only: 10 ms offsets, 200 ppm drift, 5 ms jitter. *)
 
@@ -98,7 +96,7 @@ val pp : Format.formatter -> config -> unit
 
 (** What the channel and the receiving switch do with one command. All
     fields are independent draws; a zero-magnitude config always yields
-    {!no_fault}. *)
+    the fate with every flag [false] and every delay [0]. *)
 type fate = {
   lost : bool;
   duplicated : bool;
@@ -107,8 +105,6 @@ type fate = {
   straggle_us : Sim_time.t;  (** switch-side processing delay *)
   crashed : bool;
 }
-
-val no_fault : fate
 
 (** A fault engine: one per executor run, seeded from the run's seed so
     that fault draws are reproducible by construction. *)

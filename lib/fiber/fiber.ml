@@ -136,10 +136,8 @@ let drain rt =
         raise e
   end
 
-(* A fiber's completion state. Joiners are stored LIFO and woken in
-   registration order; each wake just enqueues a resume, so the ready
-   queue's id sort decides actual wake order. *)
-type 'a state = Running of 'a joiner list | Finished of ('a, exn) result
+(* A fiber's completion state; {!poll} reads it. *)
+type 'a state = Running | Finished of ('a, exn) result
 
 (* A suspension point is identified by its fiber's [gen] stamp at the
    time it parked. Every way out of it — wake, timeout, delivery,
@@ -160,15 +158,6 @@ and 'a t = {
 and parked = Not_parked | Parked : ('v, unit) Effect.Deep.continuation -> parked
 and packed = Packed : 'a t -> packed
 
-(* A fiber blocked in [wait]/[wait_until] on a target of type ['a]. *)
-and 'a joiner =
-  | Joiner : {
-      j_fb : 'b t;
-      j_gen : int;
-      j_k : (('a, exn) result option, unit) Effect.Deep.continuation;
-    }
-      -> 'a joiner
-
 (* Receivers queue FIFO as an intrusive list threaded through
    [w_next]. *)
 type 'a waiter =
@@ -187,14 +176,11 @@ type 'a mailbox = {
   mutable mb_tail : 'a waiter;
 }
 
-(* [Wait] and [Recv] carry an optional deadline and resume with an
-   option; the unbounded variants never see [None]. *)
+(* [Recv] carries an optional deadline and resumes with an option;
+   the unbounded [recv] never sees [None]. *)
 type _ Effect.t +=
-  | Yield : unit Effect.t
   | Now : time Effect.t
-  | Self_runtime : runtime Effect.t
   | Spawn : (unit -> 'a) -> 'a t Effect.t
-  | Wait : time option * 'a t -> ('a, exn) result option Effect.t
   | Sleep_until : time -> unit Effect.t
   | Recv : time option * 'a mailbox -> 'a option Effect.t
 
@@ -232,7 +218,7 @@ let rec spawn_on : type a. runtime -> packed option -> (unit -> a) -> a t =
     {
       fid;
       frt = rt;
-      state = Running [];
+      state = Running;
       cancel_requested = false;
       gen = 0;
       parked = Not_parked;
@@ -260,14 +246,9 @@ and finish : type a. a t -> (a, exn) result -> unit =
  fun fb r ->
   match fb.state with
   | Finished _ -> ()
-  | Running joiners ->
+  | Running ->
       fb.state <- Finished r;
-      fb.frt.live <- fb.frt.live - 1;
-      List.iter
-        (fun (Joiner j) ->
-          if j.j_fb.gen = j.j_gen then
-            wake j.j_fb (fun () -> resume j.j_fb j.j_k (Some r)))
-        (List.rev joiners)
+      fb.frt.live <- fb.frt.live - 1
 
 and handle :
       type a b. a t -> b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option
@@ -275,33 +256,12 @@ and handle :
  fun fb eff ->
   let rt = fb.frt in
   match eff with
-  | Yield ->
-      Some
-        (fun k ->
-          if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
-          else enqueue rt fb.fid (fun () -> resume fb k ()))
   | Now -> Some (fun k -> Effect.Deep.continue k (rt.rt_now ()))
-  | Self_runtime -> Some (fun k -> Effect.Deep.continue k rt)
   | Spawn body ->
       Some
         (fun k ->
           if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
           else Effect.Deep.continue k (spawn_on rt (Some (Packed fb)) body))
-  | Wait (deadline, target) ->
-      Some
-        (fun k ->
-          if fb.cancel_requested then Effect.Deep.discontinue k Cancelled
-          else begin
-            match target.state with
-            | Finished r -> Effect.Deep.continue k (Some r)
-            | Running joiners ->
-                let g = park fb k in
-                target.state <-
-                  Running (Joiner { j_fb = fb; j_gen = g; j_k = k } :: joiners);
-                match deadline with
-                | Some d -> wake_at d fb g k None
-                | None -> ()
-          end)
   | Sleep_until deadline ->
       Some
         (fun k ->
@@ -328,7 +288,7 @@ let rec cancel : type a. a t -> unit =
  fun fb ->
   match fb.state with
   | Finished _ -> ()
-  | Running _ ->
+  | Running ->
       if not fb.cancel_requested then begin
         fb.cancel_requested <- true;
         Obs.Counter.incr c_cancels;
@@ -340,30 +300,10 @@ let rec cancel : type a. a t -> unit =
 
 let spawn_root rt body = spawn_on rt None body
 let spawn body = Effect.perform (Spawn body)
-let yield () = Effect.perform Yield
 let now () = Effect.perform Now
-let self_runtime () = Effect.perform Self_runtime
-let id fb = fb.fid
-
-let wait fb =
-  match Effect.perform (Wait (None, fb)) with
-  | Some r -> r
-  | None -> assert false
-
-let join fb = match wait fb with Ok v -> v | Error e -> raise e
-let wait_until ~deadline fb = Effect.perform (Wait (Some deadline, fb))
-let poll fb = match fb.state with Finished r -> Some r | Running _ -> None
+let poll fb = match fb.state with Finished r -> Some r | Running -> None
 let sleep_until t = Effect.perform (Sleep_until t)
 let sleep d = sleep_until (now () + max 0 d)
-
-let timeout_at deadline body =
-  let fb = spawn body in
-  match wait_until ~deadline fb with
-  | Some (Ok v) -> Some v
-  | Some (Error e) -> raise e
-  | None ->
-      cancel fb;
-      None
 
 module Mailbox = struct
   type 'a t = 'a mailbox
@@ -395,6 +335,4 @@ module Mailbox = struct
 
   let try_recv mb =
     if Queue.is_empty mb.mb_q then None else Some (Queue.pop mb.mb_q)
-
-  let depth mb = Queue.length mb.mb_q
 end

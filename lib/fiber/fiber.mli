@@ -22,9 +22,16 @@
     mailbox sends, timer fires) append to the pending batch; when the
     running batch empties, the pending batch becomes the running batch,
     sorted by fiber id if it arrived out of id order (stable, so
-    repeated wakeups of one fiber would keep their order). A {!yield}
-    therefore lets every other ready fiber run once before the yielder
-    resumes — starvation-free and deterministic.
+    repeated wakeups of one fiber would keep their order). A fiber
+    woken while a batch runs therefore waits for the next batch —
+    starvation-free and deterministic.
+
+    {b Waiting.} A fiber waits on exactly two things: the virtual clock
+    ({!sleep_until}, or a deadline on {!Mailbox.recv_until}) and a
+    {!Mailbox}. There is no join: a fiber that must hear from another
+    receives on a mailbox that the other sends to, and code outside
+    fiber context reads a fiber's outcome with {!poll} after the loop
+    has drained it.
 
     A suspended fiber keeps its continuation in its own record, stamped
     with a per-fiber generation number. Each way out of a suspension —
@@ -37,7 +44,7 @@
     {b Cancellation is structured.} {!cancel} marks the fiber and every
     fiber it spawned (transitively), then interrupts any suspension
     point — the fiber observes {!Cancelled} raised from its current
-    [sleep]/[recv]/[wait] and unwinds. A fiber that is merely ready
+    [sleep]/[recv] and unwinds. A fiber that is merely ready
     observes it at its next suspension point.
 
     Labels [fiber.spawns], [fiber.context_switches],
@@ -95,32 +102,13 @@ val spawn : (unit -> 'a) -> 'a t
 (** Spawn a child of the calling fiber ({!cancel} of the parent
     cascades to it). Must be called from fiber context. *)
 
-val yield : unit -> unit
-(** Let every other ready fiber run once, then resume. *)
-
 val now : unit -> time
 (** The event loop's virtual clock. *)
 
-val self_runtime : unit -> runtime
-(** The runtime executing the calling fiber. *)
-
-val id : 'a t -> int
-(** Spawn-order id, unique per runtime — the scheduling key. *)
-
-val wait : 'a t -> ('a, exn) result
-(** Suspend until the fiber finishes; its value, or the exception
-    ([Cancelled] included) that ended it. *)
-
-val join : 'a t -> 'a
-(** [wait] re-raising the fiber's failure in the caller. *)
-
-val wait_until : deadline:time -> 'a t -> ('a, exn) result option
-(** [wait] bounded by a virtual-time deadline; [None] on expiry (the
-    target keeps running — pair with {!cancel} as {!timeout_at}
-    does). *)
-
 val poll : 'a t -> ('a, exn) result option
-(** Non-blocking completion check; callable from any context. *)
+(** The fiber's value, or the exception ([Cancelled] included) that
+    ended it; [None] while it runs. Non-blocking; callable from any
+    context. *)
 
 val cancel : 'a t -> unit
 (** Request structured cancellation: the fiber and its descendants get
@@ -136,12 +124,6 @@ val sleep_until : time -> unit
 val sleep : time -> unit
 (** [sleep d] is [sleep_until (now () + d)] (negative [d] clamps
     to 0). *)
-
-val timeout_at : time -> (unit -> 'a) -> 'a option
-(** [timeout_at deadline body] spawns [body] as a child and waits for
-    it until [deadline]: [Some v] on completion, re-raised exception on
-    failure, and on expiry the child is {!cancel}led and [None]
-    returned. *)
 
 (** {1 Mailboxes}
 
@@ -167,7 +149,4 @@ module Mailbox : sig
 
   val try_recv : 'a t -> 'a option
   (** Non-blocking take; callable from any context. *)
-
-  val depth : 'a t -> int
-  (** Values currently queued (receivers not counted). *)
 end

@@ -1,39 +1,28 @@
 type colour = White | Grey | Black
 
-let find_cycle g =
+(* Depth-first colouring: an edge into a grey node closes a cycle. *)
+let has_cycle g =
   let colour = Hashtbl.create 64 in
   let colour_of v =
     match Hashtbl.find_opt colour v with None -> White | Some c -> c
   in
-  (* Iterative DFS keeping the grey stack explicit so that the cycle can be
-     reported, not just detected. *)
-  let exception Found of Graph.node list in
-  let rec visit stack v =
+  let exception Found in
+  let rec visit v =
     Hashtbl.replace colour v Grey;
     List.iter
       (fun (w, _) ->
         match colour_of w with
-        | White -> visit (w :: stack) w
-        | Grey ->
-            (* [stack] holds the grey path ending at [v] (head first); the
-               cycle is the portion from [w] to [v]. *)
-            let rec take acc = function
-              | [] -> acc
-              | u :: rest -> if u = w then u :: acc else take (u :: acc) rest
-            in
-            raise (Found (take [] stack))
+        | White -> visit w
+        | Grey -> raise Found
         | Black -> ())
       (Graph.succ g v);
     Hashtbl.replace colour v Black
   in
-  try
-    List.iter
-      (fun v -> if colour_of v = White then visit [ v ] v)
-      (Graph.nodes g);
-    None
-  with Found cycle -> Some cycle
-
-let has_cycle g = find_cycle g <> None
+  match
+    List.iter (fun v -> if colour_of v = White then visit v) (Graph.nodes g)
+  with
+  | () -> false
+  | exception Found -> true
 
 let topological_sort g =
   let indeg = Hashtbl.create 64 in

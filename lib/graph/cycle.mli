@@ -4,11 +4,8 @@
     order-replacement baseline and several test oracles — reduce to cycle
     detection on forwarding graphs. *)
 
-val find_cycle : Graph.t -> Graph.node list option
-(** [find_cycle g] is [Some [v1; ...; vk]] such that [v1 -> ... -> vk -> v1]
-    are edges of [g], or [None] if [g] is acyclic. Deterministic. *)
-
 val has_cycle : Graph.t -> bool
+(** Does [g] contain a directed cycle? *)
 
 val topological_sort : Graph.t -> Graph.node list option
 (** Kahn's algorithm. [None] when the graph is cyclic; ties broken by

@@ -61,7 +61,6 @@ let succ g v = sorted_adj (adj_find g.out_adj v)
 
 let pred g v = sorted_adj (adj_find g.in_adj v)
 
-let out_degree g v = List.length (adj_find g.out_adj v)
 
 let in_degree g v = List.length (adj_find g.in_adj v)
 
@@ -80,26 +79,6 @@ let copy g =
     out_adj = Hashtbl.copy g.out_adj;
     in_adj = Hashtbl.copy g.in_adj;
   }
-
-let of_labelled_edges l =
-  let g = create ~size:(List.length l) () in
-  List.iter
-    (fun (u, v, e) -> add_edge ~capacity:e.capacity ~delay:e.delay g u v)
-    l;
-  g
-
-let of_edges ?(default_capacity = 1) ?(default_delay = 1) l =
-  let g = create ~size:(List.length l) () in
-  List.iter
-    (fun (u, v) -> add_edge ~capacity:default_capacity ~delay:default_delay g u v)
-    l;
-  g
-
-let max_delay g =
-  List.fold_left (fun acc (_, _, e) -> max acc e.delay) 0 (edges g)
-
-let total_delay g =
-  List.fold_left (fun acc (_, _, e) -> acc + e.delay) 0 (edges g)
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph: %d nodes, %d edges" (node_count g)

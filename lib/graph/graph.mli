@@ -59,25 +59,10 @@ val succ : t -> node -> (node * edge) list
 val pred : t -> node -> (node * edge) list
 (** In-neighbours with their edge attributes, in increasing node order. *)
 
-val out_degree : t -> node -> int
 val in_degree : t -> node -> int
 
 val edges : t -> (node * node * edge) list
 (** All edges sorted lexicographically by endpoints. *)
-
-val edge_count : t -> int
-
-val of_edges : ?default_capacity:int -> ?default_delay:int ->
-  (node * node) list -> t
-(** Build a graph from endpoint pairs with uniform attributes. *)
-
-val of_labelled_edges : (node * node * edge) list -> t
-
-val max_delay : t -> int
-(** Largest edge delay, 0 for an edgeless graph. *)
-
-val total_delay : t -> int
-(** Sum of all edge delays. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable multi-line dump. *)

@@ -24,11 +24,6 @@ let rec next_hop p v =
   | [] | [ _ ] -> None
   | u :: (w :: _ as rest) -> if u = v then Some w else next_hop rest v
 
-let rec prev_hop p v =
-  match p with
-  | [] | [ _ ] -> None
-  | u :: (w :: _ as rest) -> if w = v then Some u else prev_hop rest v
-
 let is_simple p =
   let seen = Hashtbl.create (List.length p) in
   List.for_all

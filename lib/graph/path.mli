@@ -28,8 +28,6 @@ val next_hop : t -> Graph.node -> Graph.node option
 (** [next_hop p v] is the successor of the first occurrence of [v] on [p],
     [None] if [v] is absent or the destination. *)
 
-val prev_hop : t -> Graph.node -> Graph.node option
-
 val is_simple : t -> bool
 (** No repeated node. *)
 

@@ -98,11 +98,6 @@ let shortest_path g src dst =
   let dist = dijkstra g src in
   reconstruct dist src dst
 
-let distance g src dst =
-  match Hashtbl.find_opt (dijkstra g src) dst with
-  | None -> None
-  | Some (d, _) -> Some d
-
 let hop_path g src dst =
   if not (Graph.mem_node g src && Graph.mem_node g dst) then None
   else begin

@@ -9,8 +9,5 @@ val dijkstra : Graph.t -> Graph.node -> (Graph.node, int * Graph.node) Hashtbl.t
 val shortest_path : Graph.t -> Graph.node -> Graph.node -> Path.t option
 (** Minimum-delay path, [None] when unreachable. *)
 
-val distance : Graph.t -> Graph.node -> Graph.node -> int option
-(** Minimum total delay, [None] when unreachable. *)
-
 val hop_path : Graph.t -> Graph.node -> Graph.node -> Path.t option
 (** Minimum-hop path via BFS, [None] when unreachable. *)

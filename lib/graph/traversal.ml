@@ -21,27 +21,3 @@ let bfs_order g root =
     in
     loop []
   end
-
-let dfs_order g root =
-  if not (Graph.mem_node g root) then []
-  else begin
-    let seen = Hashtbl.create 64 in
-    let rec visit acc v =
-      if Hashtbl.mem seen v then acc
-      else begin
-        Hashtbl.add seen v ();
-        List.fold_left
-          (fun acc (w, _) -> visit acc w)
-          (v :: acc) (Graph.succ g v)
-      end
-    in
-    List.rev (visit [] root)
-  end
-
-let reachable g root =
-  let seen = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace seen v ()) (bfs_order g root);
-  seen
-
-let is_reachable g u v =
-  if u = v then Graph.mem_node g u else Hashtbl.mem (reachable g u) v

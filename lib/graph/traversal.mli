@@ -1,15 +1,5 @@
-(** Graph traversals: breadth-first and depth-first orders, reachability. *)
+(** Graph traversal: breadth-first order. *)
 
 val bfs_order : Graph.t -> Graph.node -> Graph.node list
 (** Nodes reachable from the root in BFS order (root first). Neighbours
     are visited in increasing node order, so the result is deterministic. *)
-
-val dfs_order : Graph.t -> Graph.node -> Graph.node list
-(** Nodes reachable from the root in DFS preorder (root first),
-    deterministic as above. *)
-
-val reachable : Graph.t -> Graph.node -> (Graph.node, unit) Hashtbl.t
-(** The set of nodes reachable from the root (root included). *)
-
-val is_reachable : Graph.t -> Graph.node -> Graph.node -> bool
-(** [is_reachable g u v] holds iff there is a directed path [u ~> v]. *)

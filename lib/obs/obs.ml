@@ -4,7 +4,7 @@ let start_ns = clock_ns ()
 
 (* ------------------------------------------------------------------ *)
 (* Registry: one process-global immutable map behind an Atomic. Reads
-   (the hot path: every [Counter.v]-by-label or [Span.with_]) are a load
+   (the hot path: every [Counter.v]-by-label or [Span.v]) are a load
    plus a balanced-tree lookup; inserts CAS-loop, which only ever races
    during module initialisation. *)
 
@@ -170,14 +170,6 @@ module Span = struct
         record t (clock_ns () - t0);
         Printexc.raise_with_backtrace e bt
 
-  let with_ label f = with_h (v label) f
-
-  let stat t =
-    {
-      count = Atomic.get t.cell.s_count;
-      total_ns = Atomic.get t.cell.s_total;
-      max_ns = Atomic.get t.cell.s_max;
-    }
 end
 
 module Point = struct
@@ -198,8 +190,6 @@ end
 let p_trace_start = Point.v "trace.start"
 
 module Trace = struct
-  let enabled = trace_enabled
-
   let close_current () =
     match Atomic.exchange sink None with
     | None -> ()

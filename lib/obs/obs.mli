@@ -80,12 +80,6 @@ module Span : sig
       independent observation, so an enclosing span's total includes its
       inner spans' time. *)
 
-  val with_ : string -> (unit -> 'a) -> 'a
-  (** [with_ label f] is [with_h (v label) f] — the convenient form for
-      cool paths, e.g. [Obs.Span.with_ "greedy.round" f]. Hot paths
-      should hoist {!v} to a top-level handle. *)
-
-  val stat : t -> stat
 end
 
 (** Named instant events that only exist on the trace
@@ -114,10 +108,6 @@ end
     [domain] (the emitting domain's id), [kind] ([meta], [span] or
     [point]), [label], and a [fields] object. *)
 module Trace : sig
-  val enabled : unit -> bool
-  (** One atomic load — this is the only cost instrumented code pays per
-      potential event while the sink is off. *)
-
   val set_path : string option -> unit
   (** Programmatically open (truncating) or close the sink. The
       environment variable [CHRONUS_TRACE=file.jsonl] performs

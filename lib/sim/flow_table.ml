@@ -75,7 +75,7 @@ let common_len p1 l1 p2 l2 =
   go 0
 
 (* A path-compressed binary trie over prefixes. Nodes are persistent:
-   installs and removals rebuild the (≤ addr_bits deep) spine, so
+   an install rebuilds the (≤ addr_bits deep) spine, so
    {!snapshot} shares the whole structure with the live table. *)
 type node = {
   n_pfx : int;  (* normalised prefix value *)
@@ -114,40 +114,6 @@ let rec trie_insert node pfx len rule =
         let z, o = if bit n.n_pfx cl = 0 then (n, fresh) else (fresh, n) in
         { n_pfx = truncate pfx cl; n_len = cl; n_rules = [];
           n_zero = Some z; n_one = Some o }
-
-(* Drop empty nodes and re-compress pass-through nodes so removal never
-   degrades the trie's depth bound. *)
-let prune n =
-  match (n.n_rules, n.n_zero, n.n_one) with
-  | [], None, None -> None
-  | [], Some c, None | [], None, Some c -> Some c
-  | _ -> Some n
-
-let rec trie_remove node pfx len tag_match removed =
-  match node with
-  | None -> None
-  | Some n ->
-      if n.n_len = len && n.n_pfx = pfx then begin
-        let kept =
-          List.filter
-            (fun r ->
-              if r.tag_match = tag_match then begin
-                incr removed;
-                false
-              end
-              else true)
-            n.n_rules
-        in
-        prune { n with n_rules = kept }
-      end
-      else if n.n_len < len && covers ~pfx:n.n_pfx ~len:n.n_len pfx then
-        let child =
-          if bit pfx n.n_len = 0 then
-            { n with n_zero = trie_remove n.n_zero pfx len tag_match removed }
-          else { n with n_one = trie_remove n.n_one pfx len tag_match removed }
-        in
-        prune child
-      else node
 
 let rec trie_fold f acc = function
   | None -> acc
@@ -255,19 +221,6 @@ let remove t ~dst ~tag_match =
   end;
   !removed
 
-let remove_prefix t ~prefix ~len ~tag_match =
-  if len = addr_bits then remove t ~dst:prefix ~tag_match
-  else begin
-    let removed = ref 0 in
-    t.root <- trie_remove t.root (truncate prefix len) len tag_match removed;
-    if !removed > 0 then begin
-      t.prefix_total <- t.prefix_total - !removed;
-      t.total <- t.total - !removed;
-      t.on_size_change (- !removed)
-    end;
-    !removed
-  end
-
 (* Longest-prefix walk: every node on the root-to-[dst] path whose prefix
    covers [dst] may hold a match; the deepest one wins, ties within a
    node resolve by the bucket order (priority desc, id asc). *)
@@ -325,7 +278,6 @@ let restore t s =
 
 let size t = t.total
 
-let prefix_size t = t.prefix_total
 
 (* A live-heap estimate in machine words, deterministic (no wall clock)
    so it can sit in digested experiment rows: a rule record plus its

@@ -68,10 +68,6 @@ val remove : t -> dst:int -> tag_match:tag_match -> int
 (** Delete all exact rules with exactly these match fields; returns the
     count. *)
 
-val remove_prefix : t -> prefix:int -> len:int -> tag_match:tag_match -> int
-(** Delete all rules at exactly this [(prefix, len, tag_match)];
-    returns the count. [len = addr_bits] is exactly {!remove}. *)
-
 type snapshot
 (** An immutable copy of a table's rule set (exact and prefix). *)
 
@@ -95,9 +91,6 @@ val lookup : t -> dst:int -> tag:int option -> rule option
 val size : t -> int
 (** O(1): the table maintains a running rule count (exact + prefix). *)
 
-val prefix_size : t -> int
-(** How many of {!size}'s rules are aggregated prefix rules. *)
-
 val memory_words : t -> int
 (** Deterministic estimate of the table's live heap in machine words
     (rules, buckets, trie nodes) — comparable across table shapes, used
@@ -109,7 +102,7 @@ val rules : t -> rule list
 val on_size_change : t -> (int -> unit) -> unit
 (** Register a single observer called with the signed rule-count delta
     after every {!install}, {!install_prefix}, {!remove},
-    {!remove_prefix} and {!restore} that changes the table's size.
+    and {!restore} that changes the table's size.
     [Chronus_sim.Network] uses this to keep a network-wide rule total
     without rescanning every switch. *)
 

@@ -3,17 +3,11 @@
 
 type t = int
 
-val usec : int -> t
-(** [usec n] is [n] microseconds. *)
-
 val msec : int -> t
 (** [msec n] is [n] milliseconds. *)
 
 val sec : int -> t
 (** [sec n] is [n] seconds. *)
-
-val of_sec_float : float -> t
-(** Fractional seconds, truncated to whole microseconds. *)
 
 val to_sec : t -> float
 (** Microseconds to fractional seconds. *)

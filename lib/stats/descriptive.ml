@@ -13,7 +13,6 @@ let variance xs =
   let sq = List.map (fun x -> (x -. m) ** 2.) xs in
   total sq /. float_of_int (List.length xs)
 
-let stddev xs = sqrt (variance xs)
 
 let minimum xs = List.fold_left min (List.hd (check xs)) xs
 

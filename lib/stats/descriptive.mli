@@ -5,7 +5,6 @@ val mean : float list -> float
 val variance : float list -> float
 (** Population variance. *)
 
-val stddev : float list -> float
 val minimum : float list -> float
 val maximum : float list -> float
 val total : float list -> float

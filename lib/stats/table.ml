@@ -9,9 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
 
-let add_float_row ?(decimals = 2) t label floats =
-  add_row t (label :: List.map (fun f -> Printf.sprintf "%.*f" decimals f) floats)
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in

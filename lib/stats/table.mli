@@ -9,9 +9,6 @@ val create : headers:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the arity differs from the headers. *)
 
-val add_float_row : ?decimals:int -> t -> string -> float list -> unit
-(** Label column followed by formatted floats (default 2 decimals). *)
-
 val render : t -> string
 (** Columns padded to their widest cell, header underlined. *)
 

@@ -15,15 +15,11 @@ type t = {
 
 let holders t = t.a_holders
 let hosts_per_holder t = t.a_hosts_per_holder
-let host_bits t = t.a_host_bits
 
 let addr_of t ~holder ~host =
   if host < 0 || host >= t.a_hosts_per_holder then
     invalid_arg "Addressing.addr_of: host out of range";
   marker lor (t.a_encode holder lsl t.a_host_bits) lor host
-
-let holder_prefix t holder =
-  (marker lor (t.a_encode holder lsl t.a_host_bits), width - t.a_host_bits)
 
 let all_addrs t =
   List.concat_map

@@ -29,14 +29,9 @@ val holders : t -> int list
 
 val hosts_per_holder : t -> int
 
-val host_bits : t -> int
-
 val addr_of : t -> holder:int -> host:int -> int
 (** The address of [host] (in [0 .. hosts_per_holder - 1]) attached to
     holder switch [holder]. *)
-
-val holder_prefix : t -> int -> int * int
-(** [(prefix, len)] covering exactly the host addresses of a holder. *)
 
 val all_addrs : t -> int list
 (** Every host address, grouped by holder in {!holders} order. *)

@@ -30,9 +30,6 @@ val bool : t -> bool
 val pick : t -> 'a list -> 'a
 (** @raise Invalid_argument on the empty list. *)
 
-val shuffle : t -> 'a list -> 'a list
-(** Fisher–Yates. *)
-
 val sample : t -> int -> 'a list -> 'a list
 (** [sample t k l] draws [k] elements without replacement (all of [l] if
     [k >= List.length l]); order is random. *)

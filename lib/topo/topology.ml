@@ -38,89 +38,12 @@ let grid ?(params = default) w h =
   done;
   g
 
-let torus ?(params = default) w h =
-  let g = grid ~params w h in
-  if w > 2 then
-    for y = 0 to h - 1 do
-      bidir ~params g ((y * w) + w - 1) (y * w)
-    done;
-  if h > 2 then
-    for x = 0 to w - 1 do
-      bidir ~params g (((h - 1) * w) + x) x
-    done;
-  g
-
 let complete ?(params = default) n =
   let g = with_nodes n in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
       if u <> v then
         Graph.add_edge ~capacity:params.capacity ~delay:params.delay g u v
-    done
-  done;
-  g
-
-let star ?(params = default) n =
-  let g = with_nodes n in
-  for v = 1 to n - 1 do
-    bidir ~params g 0 v
-  done;
-  g
-
-let erdos_renyi ?(params = default) ~rng ~p n =
-  let g = with_nodes n in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if u <> v && Rng.float rng 1.0 < p then
-        Graph.add_edge ~capacity:params.capacity ~delay:params.delay g u v
-    done
-  done;
-  g
-
-let random_regular ?(params = default) ~rng ~k n =
-  let g = with_nodes n in
-  let degree = Array.make n 0 in
-  let attempts = ref (20 * n * k) in
-  let open_nodes () =
-    List.filter (fun v -> degree.(v) < k) (List.init n Fun.id)
-  in
-  let rec wire () =
-    decr attempts;
-    if !attempts <= 0 then ()
-    else
-      match open_nodes () with
-      | [] | [ _ ] -> ()
-      | candidates ->
-          let u = Rng.pick rng candidates in
-          let others = List.filter (fun v -> v <> u) candidates in
-          let unlinked =
-            List.filter (fun v -> not (Graph.mem_edge g u v)) others
-          in
-          (match unlinked with
-          | [] -> ()
-          | _ ->
-              let v = Rng.pick rng unlinked in
-              bidir ~params g u v;
-              degree.(u) <- degree.(u) + 1;
-              degree.(v) <- degree.(v) + 1);
-          wire ()
-  in
-  wire ();
-  g
-
-let waxman ?(params = default) ~rng ~alpha ~beta n =
-  let g = with_nodes n in
-  let coords =
-    Array.init n (fun _ -> (Rng.float rng 1.0, Rng.float rng 1.0))
-  in
-  let dist u v =
-    let x1, y1 = coords.(u) and x2, y2 = coords.(v) in
-    sqrt (((x1 -. x2) ** 2.) +. ((y1 -. y2) ** 2.))
-  in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let p = alpha *. exp (-.dist u v /. (beta *. sqrt 2.)) in
-      if Rng.float rng 1.0 < p then bidir ~params g u v
     done
   done;
   g
@@ -198,10 +121,4 @@ let remap_edges f g =
 let randomize_delays ~rng ~lo ~hi g =
   remap_edges
     (fun (_, _, (e : Graph.edge)) -> { e with Graph.delay = Rng.in_range rng lo hi })
-    g
-
-let randomize_capacities ~rng ~choices g =
-  remap_edges
-    (fun (_, _, (e : Graph.edge)) ->
-      { e with Graph.capacity = Rng.pick rng choices })
     g

@@ -1,5 +1,6 @@
 (** Standard topology constructions. Capacities and delays default to 1
-    and can be overridden uniformly or drawn per-link via [delay_of]. *)
+    and can be overridden uniformly, or delays redrawn per link with
+    {!randomize_delays}. *)
 
 open Chronus_graph
 
@@ -18,28 +19,7 @@ val ring : ?params:params -> int -> Graph.t
 val grid : ?params:params -> int -> int -> Graph.t
 (** [grid w h]: node [y*w + x]; bidirectional mesh edges. *)
 
-val torus : ?params:params -> int -> int -> Graph.t
-(** Grid with wrap-around links. *)
-
 val complete : ?params:params -> int -> Graph.t
-
-val star : ?params:params -> int -> Graph.t
-(** Node 0 is the hub; bidirectional spokes to [1..n-1]. *)
-
-val erdos_renyi : ?params:params -> rng:Rng.t -> p:float -> int -> Graph.t
-(** Each ordered pair gets an edge independently with probability [p];
-    all nodes present even when isolated. *)
-
-val random_regular : ?params:params -> rng:Rng.t -> k:int -> int -> Graph.t
-(** Jellyfish-style: repeatedly wire random node pairs until every node
-    has (close to) [k] bidirectional links; no multi-edges, no self-loops.
-    Best-effort for odd leftovers. *)
-
-val waxman :
-  ?params:params -> rng:Rng.t -> alpha:float -> beta:float -> int -> Graph.t
-(** Waxman random graph: nodes placed uniformly in the unit square, a
-    bidirectional link with probability
-    [alpha * exp (-dist / (beta * sqrt 2.))]. *)
 
 val fat_tree : ?params:params -> int -> Graph.t
 (** Canonical k-ary fat-tree (k even): [k^2/4] core, [k/2] aggregation and
@@ -59,6 +39,3 @@ val wan : ?params:params -> rng:Rng.t -> int -> Graph.t
 val randomize_delays :
   rng:Rng.t -> lo:int -> hi:int -> Graph.t -> Graph.t
 (** Fresh graph with every delay redrawn uniformly from [[lo, hi]]. *)
-
-val randomize_capacities :
-  rng:Rng.t -> choices:int list -> Graph.t -> Graph.t

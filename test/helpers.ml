@@ -13,6 +13,31 @@ let graph_of edges =
 let unit_graph_of edges =
   graph_of (List.map (fun (u, v) -> (u, v, 1, 1)) edges)
 
+let edge_count g = List.length (Graph.edges g)
+let out_degree g v = List.length (Graph.succ g v)
+
+(* Is there a directed path [u ~> v]? *)
+let reachable g u v = List.mem v (Traversal.bfs_order g u)
+
+(* Minimum total delay from [src] to [dst], [None] when unreachable. *)
+let distance g src dst =
+  Option.map fst (Hashtbl.find_opt (Shortest.dijkstra g src) dst)
+
+(* A directed Erdős–Rényi graph on nodes [0 .. n-1]: each ordered pair
+   gets a unit edge independently with probability [p]; isolated nodes
+   stay. *)
+let erdos_renyi ~rng ~p n =
+  let g = Graph.create ~size:n () in
+  for v = 0 to n - 1 do
+    Graph.add_node g v
+  done;
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v && Chronus_topo.Rng.float rng 1.0 < p then Graph.add_edge g u v
+    done
+  done;
+  g
+
 (* The worked example of Figs. 1-3 and 5. *)
 let fig1 () = Chronus_topo.Scenario.fig1_example ()
 

@@ -1,9 +1,10 @@
 (* The effects-based cooperative runtime: deterministic replay (same
    spawn order -> bit-identical trace, at any job count), the two-batch
    id-ordered scheduling discipline, mailbox FIFO delivery and timeouts,
-   virtual-time sleep/timeout, structured cancellation cascading to
-   children, and the heavy-traffic acceptance run — ten thousand live
-   session fibers through one clean timed update on a k=16 fat-tree. *)
+   virtual-time sleep, completion read by [poll], structured
+   cancellation cascading to children, and the heavy-traffic acceptance
+   run — ten thousand live session fibers through one clean timed update
+   on a k=16 fat-tree. *)
 
 module Fiber = Chronus_fiber.Fiber
 module Engine = Chronus_sim.Engine
@@ -15,12 +16,12 @@ let dig v =
   Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling: ready fibers run in spawn-id order; yield defers to the
-   next batch; the whole interleaving replays bit-identically. *)
+(* Scheduling: ready fibers run in spawn-id order; the whole
+   interleaving replays bit-identically. *)
 
 (* A little concurrent program whose observable trace depends on every
-   scheduler decision: fibers yield, sleep, and relay tokens through a
-   shared mailbox. *)
+   scheduler decision: fibers sleep, and relay tokens through a shared
+   mailbox. *)
 let trace_program () =
   let engine = Engine.create () in
   let rt = Engine.fiber_runtime engine in
@@ -31,8 +32,8 @@ let trace_program () =
     ignore
       (Fiber.spawn_root rt (fun () ->
            say "%d: start at %d" i (Fiber.now ());
-           Fiber.yield ();
-           say "%d: yielded" i;
+           Fiber.sleep 0;
+           say "%d: resumed at %d" i (Fiber.now ());
            Fiber.sleep (Sim_time.msec (10 * (i + 1)));
            Fiber.Mailbox.send box i;
            say "%d: sent at %d" i (Fiber.now ()))
@@ -68,27 +69,6 @@ let test_ready_order_by_id () =
   Fiber.drain rt;
   Alcotest.(check (list int)) "id order" [ 0; 1; 2; 3; 4 ] (List.rev !order)
 
-let test_yield_is_starvation_free () =
-  let engine = Engine.create () in
-  let rt = Engine.fiber_runtime engine in
-  let log = ref [] in
-  for i = 0 to 1 do
-    ignore
-      (Fiber.spawn_root rt (fun () ->
-           for round = 0 to 2 do
-             log := (i, round) :: !log;
-             Fiber.yield ()
-           done)
-        : unit Fiber.t)
-  done;
-  Fiber.drain rt;
-  (* Rounds interleave: both fibers complete round r before either
-     starts round r+1. *)
-  Alcotest.(check (list (pair int int)))
-    "round-robin interleaving"
-    [ (0, 0); (1, 0); (0, 1); (1, 1); (0, 2); (1, 2) ]
-    (List.rev !log)
-
 (* Wakeups that arrive out of id order (here: one event delivering to
    five receivers in reverse) still run in id order. *)
 let test_out_of_order_wakes_run_by_id () =
@@ -121,8 +101,6 @@ let test_mailbox_fifo () =
   let box = Fiber.Mailbox.create rt in
   let got = ref [] in
   List.iter (fun i -> Fiber.Mailbox.send box i) [ 1; 2; 3 ];
-  Alcotest.(check int) "depth counts queued messages" 3
-    (Fiber.Mailbox.depth box);
   ignore
     (Fiber.spawn_root rt (fun () ->
          for _ = 1 to 3 do
@@ -160,57 +138,50 @@ let test_mailbox_recv_until () =
 (* ------------------------------------------------------------------ *)
 (* Virtual time. *)
 
-let test_sleep_and_timeout () =
+let test_sleep () =
   let engine = Engine.create () in
   let rt = Engine.fiber_runtime engine in
-  let wake = ref (-1) and fast = ref None and slow = ref None in
+  let wakes = ref [] in
   ignore
     (Fiber.spawn_root rt (fun () ->
          Fiber.sleep (Sim_time.msec 7);
-         wake := Fiber.now ();
-         (* A body that finishes before its budget. *)
-         fast :=
-           Fiber.timeout_at
-             (Fiber.now () + Sim_time.msec 100)
-             (fun () ->
-               Fiber.sleep (Sim_time.msec 1);
-               "done");
-         (* A body that oversleeps its budget. *)
-         slow :=
-           Some
-             (Fiber.timeout_at
-                (Fiber.now () + Sim_time.msec 2)
-                (fun () ->
-                  Fiber.sleep (Sim_time.msec 50);
-                  "never")))
+         wakes := Fiber.now () :: !wakes;
+         (* A past deadline resumes at the current instant. *)
+         Fiber.sleep_until (Sim_time.msec 1);
+         wakes := Fiber.now () :: !wakes;
+         Fiber.sleep (-5);
+         wakes := Fiber.now () :: !wakes)
       : unit Fiber.t);
   Engine.run engine;
-  Alcotest.(check int) "sleep wakes at the virtual instant" (Sim_time.msec 7)
-    !wake;
-  Alcotest.(check (option string)) "fast body returns" (Some "done") !fast;
-  Alcotest.(check (option (option string))) "slow body times out" (Some None)
-    !slow
+  Alcotest.(check (list int)) "sleeps wake at their virtual instants"
+    [ Sim_time.msec 7; Sim_time.msec 7; Sim_time.msec 7 ]
+    (List.rev !wakes)
 
 (* ------------------------------------------------------------------ *)
-(* Join, poll, and structured cancellation. *)
+(* Completion, and structured cancellation. *)
 
-let test_wait_and_poll () =
+(* There is no join: a fiber that needs another's result receives it
+   on a mailbox, and code outside fiber context polls after the
+   drain. *)
+let test_mailbox_handoff_and_poll () =
   let engine = Engine.create () in
   let rt = Engine.fiber_runtime engine in
+  let box = Fiber.Mailbox.create rt in
   let child =
     Fiber.spawn_root rt (fun () ->
         Fiber.sleep (Sim_time.msec 3);
-        41 + 1)
+        Fiber.Mailbox.send box 42;
+        42)
   in
   Alcotest.(check bool) "unfinished fiber polls None" true
     (Fiber.poll child = None);
-  let joined = ref None in
+  let received = ref None in
   ignore
-    (Fiber.spawn_root rt (fun () -> joined := Some (Fiber.join child))
+    (Fiber.spawn_root rt (fun () -> received := Some (Fiber.Mailbox.recv box))
       : unit Fiber.t);
   Engine.run engine;
-  Alcotest.(check (option int)) "join returns the fiber's value" (Some 42)
-    !joined;
+  Alcotest.(check (option int)) "the waiter receives the value" (Some 42)
+    !received;
   Alcotest.(check bool) "finished fiber polls its result" true
     (Fiber.poll child = Some (Ok 42))
 
@@ -281,15 +252,15 @@ let recv_deadline_race ~sender_first =
   if sender_first then (spawn_unit rt sender; spawn_unit rt receiver)
   else (spawn_unit rt receiver; spawn_unit rt sender);
   Engine.run engine;
-  (!resumes, Fiber.Mailbox.depth box)
+  (!resumes, Fiber.Mailbox.try_recv box)
 
 let test_recv_until_deadline_at_send () =
-  let outcome = Alcotest.(pair (list (option int)) int) in
+  let outcome = Alcotest.(pair (list (option int)) (option int)) in
   Alcotest.check outcome "deadline first: times out, the message stays queued"
-    ([ None ], 1)
+    ([ None ], Some 42)
     (recv_deadline_race ~sender_first:false);
   Alcotest.check outcome "send first: delivered, the deadline is stale"
-    ([ Some 42 ], 0)
+    ([ Some 42 ], None)
     (recv_deadline_race ~sender_first:true)
 
 let record_outcome resumes f =
@@ -318,8 +289,8 @@ let test_cancel_between_wake_and_resume () =
     [ "cancelled" ] !resumes;
   Alcotest.(check bool) "receiver ended Cancelled" true
     (Fiber.poll fb = Some (Error Fiber.Cancelled));
-  Alcotest.(check int) "the delivered value is consumed" 0
-    (Fiber.Mailbox.depth box);
+  Alcotest.(check (option int)) "the delivered value is consumed" None
+    (Fiber.Mailbox.try_recv box);
   (* A timer wake and then a cancel before any drain, on a hand-rolled
      loop that fires the timer itself. *)
   let clock = ref 0 and timers = Queue.create () in
@@ -341,42 +312,6 @@ let test_cancel_between_wake_and_resume () =
   Alcotest.(check (list string)) "sleeper resumed once, cancelled"
     [ "cancelled" ] !resumes;
   Alcotest.(check bool) "no timer left behind" true (Queue.is_empty timers)
-
-(* A [wait_until] whose target finishes exactly at the deadline. *)
-let wait_deadline_race ~target_first =
-  let engine = Engine.create () in
-  let rt = Engine.fiber_runtime engine in
-  let at = Sim_time.msec 10 in
-  let target = ref None and resumes = ref [] in
-  let spawn_target () =
-    target :=
-      Some
-        (Fiber.spawn_root rt (fun () ->
-             Fiber.sleep_until at;
-             7))
-  in
-  let waiter () =
-    let r = Fiber.wait_until ~deadline:at (Option.get !target) in
-    resumes :=
-      (match r with
-      | None -> "deadline"
-      | Some (Ok v) -> string_of_int v
-      | Some (Error e) -> Printexc.to_string e)
-      :: !resumes
-  in
-  if target_first then (spawn_target (); spawn_unit rt waiter)
-  else (spawn_unit rt waiter; spawn_target ());
-  Engine.run engine;
-  (!resumes, Fiber.poll (Option.get !target) = Some (Ok 7))
-
-let test_wait_until_target_at_deadline () =
-  let outcome = Alcotest.(pair (list string) bool) in
-  Alcotest.check outcome "deadline first: times out, the target still ends"
-    ([ "deadline" ], true)
-    (wait_deadline_race ~target_first:false);
-  Alcotest.check outcome "target first: its value, the deadline is stale"
-    ([ "7" ], true)
-    (wait_deadline_race ~target_first:true)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation and retention on the event path. *)
@@ -409,7 +344,7 @@ let[@inline never] spawn_watched rt collected =
   let fb =
     Fiber.spawn_root rt (fun () ->
         Fiber.sleep (Sim_time.msec 5);
-        Fiber.yield ();
+        Fiber.sleep 0;
         1)
   in
   Gc.finalise (fun _ -> collected := true) fb
@@ -467,25 +402,21 @@ let suite =
         test_trace_deterministic;
       Alcotest.test_case "ready fibers run in spawn-id order" `Quick
         test_ready_order_by_id;
-      Alcotest.test_case "yield round-robins the batch" `Quick
-        test_yield_is_starvation_free;
       Alcotest.test_case "out-of-order wakes run in id order" `Quick
         test_out_of_order_wakes_run_by_id;
-      Alcotest.test_case "mailbox is FIFO; depth and try_recv" `Quick
+      Alcotest.test_case "mailbox is FIFO; try_recv" `Quick
         test_mailbox_fifo;
       Alcotest.test_case "recv_until times out and recovers" `Quick
         test_mailbox_recv_until;
-      Alcotest.test_case "sleep and timeout_at on virtual time" `Quick
-        test_sleep_and_timeout;
-      Alcotest.test_case "wait, join and poll" `Quick test_wait_and_poll;
+      Alcotest.test_case "sleep on virtual time" `Quick test_sleep;
+      Alcotest.test_case "mailbox hand-off, then poll" `Quick
+        test_mailbox_handoff_and_poll;
       Alcotest.test_case "cancellation cascades to children" `Quick
         test_cancellation_cascades;
       Alcotest.test_case "recv_until deadline at the send instant" `Quick
         test_recv_until_deadline_at_send;
       Alcotest.test_case "cancel between wake and resume" `Quick
         test_cancel_between_wake_and_resume;
-      Alcotest.test_case "wait_until target ends at the deadline" `Quick
-        test_wait_until_target_at_deadline;
       Alcotest.test_case "sleep/wake cycle allocation bound" `Quick
         test_sleep_cycle_allocation;
       Alcotest.test_case "finished fibers are collectable" `Quick

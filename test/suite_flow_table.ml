@@ -169,24 +169,26 @@ let run_prefix_ops seed =
         let r = FT.install t ~priority ~dst ~tag_match (random_action rng) in
         model := r :: !model
     | 5 -> (
-        match !model with
+        (* Removal is exact-only: the compiled prefix base is never
+           taken apart rule by rule, only restored whole. *)
+        match
+          List.filter (fun (r : FT.rule) -> r.FT.len = FT.addr_bits) !model
+        with
         | [] -> ()
-        | rules ->
-            let (victim : FT.rule) = Rng.pick rng rules in
+        | exact ->
+            let (victim : FT.rule) = Rng.pick rng exact in
             let n =
-              FT.remove_prefix t ~prefix:victim.FT.dst ~len:victim.FT.len
-                ~tag_match:victim.FT.tag_match
+              FT.remove t ~dst:victim.FT.dst ~tag_match:victim.FT.tag_match
             in
             let keep, dropped =
               List.partition
                 (fun (r : FT.rule) ->
                   not
-                    (r.FT.dst = victim.FT.dst && r.FT.len = victim.FT.len
+                    (r.FT.dst = victim.FT.dst && r.FT.len = FT.addr_bits
                    && r.FT.tag_match = victim.FT.tag_match))
-                rules
+                !model
             in
-            if n <> List.length dropped then
-              failwith "remove_prefix count mismatch";
+            if n <> List.length dropped then failwith "remove count mismatch";
             model := keep)
     | 6 -> snaps := (FT.snapshot t, !model) :: !snaps
     | _ -> (
@@ -287,11 +289,10 @@ let test_restore_single_delta () =
   FT.restore t snap;
   Alcotest.(check (list int)) "no-op restore stays silent" [] !calls;
   ignore (FT.remove t ~dst:1 ~tag_match:FT.Any_tag);
-  ignore (FT.remove_prefix t ~prefix:0x8000 ~len:4 ~tag_match:FT.Any_tag);
   calls := [];
   FT.restore t snap;
   Alcotest.(check (list int)) "growing restore emits one positive delta"
-    [ 2 ] !calls
+    [ 1 ] !calls
 
 (* Crash-restart on a prefix table: a rebooting switch must come back
    with its compiled base and answer LPM lookups exactly as before. *)
@@ -305,16 +306,22 @@ let test_prefix_crash_restart () =
     (FT.install_prefix t ~priority:5 ~prefix:0xc000 ~len:4 ~tag_match:FT.Any_tag
        (act 2));
   let persisted = FT.snapshot t in
-  (* An in-flight update layers exact rules over the base, then the
-     switch crashes. *)
+  (* An in-flight update layers an exact rule and a longer prefix over
+     the base, then the switch crashes. *)
   ignore (FT.install t ~priority:10 ~dst:0xc001 ~tag_match:FT.Any_tag (act 7));
-  ignore (FT.remove_prefix t ~prefix:0x8000 ~len:1 ~tag_match:FT.Any_tag);
+  ignore
+    (FT.install_prefix t ~priority:5 ~prefix:0x8000 ~len:2 ~tag_match:FT.Any_tag
+       (act 9));
+  (match FT.lookup t ~dst:0x8123 ~tag:None with
+  | Some r ->
+      Alcotest.(check bool) "longer prefix shadows base" true
+        (r.FT.action = act 9)
+  | None -> Alcotest.fail "lookup lost");
   (match FT.lookup t ~dst:0xc001 ~tag:None with
   | Some r -> Alcotest.(check bool) "update rule shadows base" true (r.FT.action = act 7)
   | None -> Alcotest.fail "lookup lost");
   FT.restore t persisted;
   Alcotest.(check int) "rebooted with the compiled base" 2 (FT.size t);
-  Alcotest.(check int) "both rules are prefixes" 2 (FT.prefix_size t);
   (match FT.lookup t ~dst:0xc001 ~tag:None with
   | Some r ->
       Alcotest.(check bool) "longest prefix wins again" true (r.FT.action = act 2)

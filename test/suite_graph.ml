@@ -5,7 +5,7 @@ let check_nodes = Alcotest.(check (list int))
 let test_empty () =
   let g = Graph.create () in
   Alcotest.(check int) "no nodes" 0 (Graph.node_count g);
-  Alcotest.(check int) "no edges" 0 (Graph.edge_count g);
+  Alcotest.(check int) "no edges" 0 (Helpers.edge_count g);
   check_nodes "nodes" [] (Graph.nodes g)
 
 let test_add_nodes () =
@@ -30,12 +30,12 @@ let test_edge_replacement () =
   let g = Graph.create () in
   Graph.add_edge ~capacity:1 ~delay:1 g 1 2;
   Graph.add_edge ~capacity:9 ~delay:4 g 1 2;
-  Alcotest.(check int) "one edge" 1 (Graph.edge_count g);
+  Alcotest.(check int) "one edge" 1 (Helpers.edge_count g);
   Alcotest.(check int) "latest capacity" 9 (Graph.capacity g 1 2);
   Alcotest.(check int) "latest delay" 4 (Graph.delay g 1 2)
 
 let test_remove_edge () =
-  let g = Graph.of_edges [ (1, 2); (2, 3) ] in
+  let g = Helpers.unit_graph_of [ (1, 2); (2, 3) ] in
   Graph.remove_edge g 1 2;
   Alcotest.(check bool) "removed" false (Graph.mem_edge g 1 2);
   Alcotest.(check bool) "other kept" true (Graph.mem_edge g 2 3);
@@ -53,17 +53,17 @@ let test_invalid_edges () =
       Graph.add_edge ~delay:(-1) g 1 2)
 
 let test_succ_pred () =
-  let g = Graph.of_edges [ (1, 2); (1, 3); (4, 1) ] in
+  let g = Helpers.unit_graph_of [ (1, 2); (1, 3); (4, 1) ] in
   Alcotest.(check (list int))
     "succ sorted" [ 2; 3 ]
     (List.map fst (Graph.succ g 1));
   Alcotest.(check (list int)) "pred" [ 4 ] (List.map fst (Graph.pred g 1));
-  Alcotest.(check int) "out degree" 2 (Graph.out_degree g 1);
+  Alcotest.(check int) "out degree" 2 (Helpers.out_degree g 1);
   Alcotest.(check int) "in degree" 1 (Graph.in_degree g 1);
-  Alcotest.(check int) "sink degree" 0 (Graph.out_degree g 2)
+  Alcotest.(check int) "sink degree" 0 (Helpers.out_degree g 2)
 
 let test_copy_independent () =
-  let g = Graph.of_edges [ (1, 2) ] in
+  let g = Helpers.unit_graph_of [ (1, 2) ] in
   let g' = Graph.copy g in
   Graph.add_edge g' 2 3;
   Alcotest.(check bool) "copy has new edge" true (Graph.mem_edge g' 2 3);
@@ -78,25 +78,17 @@ let test_of_labelled_edges_roundtrip () =
       (2, 3, { Graph.capacity = 1; delay = 5 });
     ]
   in
-  let g = Graph.of_labelled_edges edges in
+  let g = Graph.create () in
+  List.iter
+    (fun (u, v, (e : Graph.edge)) ->
+      Graph.add_edge ~capacity:e.capacity ~delay:e.delay g u v)
+    edges;
   Alcotest.(check bool)
     "roundtrip" true
     (Graph.edges g = List.sort compare edges)
 
-let test_delay_aggregates () =
-  let g =
-    Graph.of_labelled_edges
-      [
-        (1, 2, { Graph.capacity = 1; delay = 2 });
-        (2, 3, { Graph.capacity = 1; delay = 7 });
-      ]
-  in
-  Alcotest.(check int) "max delay" 7 (Graph.max_delay g);
-  Alcotest.(check int) "total delay" 9 (Graph.total_delay g);
-  Alcotest.(check int) "edgeless max" 0 (Graph.max_delay (Graph.create ()))
-
 let test_missing_edge_raises () =
-  let g = Graph.of_edges [ (1, 2) ] in
+  let g = Helpers.unit_graph_of [ (1, 2) ] in
   Alcotest.check_raises "capacity of absent edge" Not_found (fun () ->
       ignore (Graph.capacity g 2 1));
   Alcotest.(check (option (pair int int))) "find_edge absent" None
@@ -117,6 +109,5 @@ let suite =
       Alcotest.test_case "copy independence" `Quick test_copy_independent;
       Alcotest.test_case "labelled edges roundtrip" `Quick
         test_of_labelled_edges_roundtrip;
-      Alcotest.test_case "delay aggregates" `Quick test_delay_aggregates;
       Alcotest.test_case "missing edge raises" `Quick test_missing_edge_raises;
     ] )

@@ -22,8 +22,6 @@ let test_next_hops () =
     (Instance.old_next inst 6);
   Alcotest.(check (option int)) "old prev of v2" (Some 1)
     (Instance.old_prev inst 2);
-  Alcotest.(check (option int)) "new prev of v6" (Some 2)
-    (Instance.new_prev inst 6);
   Alcotest.(check (option int)) "off-path" None (Instance.old_next inst 42)
 
 let test_update_kinds () =

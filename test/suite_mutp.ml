@@ -1,25 +1,27 @@
 open Chronus_flow
 open Chronus_core
 
+(* The objective |T| is the schedule's makespan. *)
 let test_objective () =
   Alcotest.(check int) "paper schedule objective" 4
-    (Mutp.objective Helpers.fig1_paper_schedule);
-  Alcotest.(check int) "empty objective" 0 (Mutp.objective Schedule.empty)
+    (Schedule.makespan Helpers.fig1_paper_schedule);
+  Alcotest.(check int) "empty objective" 0 (Schedule.makespan Schedule.empty)
 
+(* A solution is complete and oracle-consistent. *)
 let test_is_solution () =
   let inst = Helpers.fig1 () in
   Alcotest.(check bool) "paper schedule solves" true
-    (Mutp.is_solution inst Helpers.fig1_paper_schedule);
+    (Oracle.is_consistent inst Helpers.fig1_paper_schedule);
   Alcotest.(check bool) "all-at-zero does not" false
-    (Mutp.is_solution inst (Helpers.all_at_zero inst));
+    (Oracle.is_consistent inst (Helpers.all_at_zero inst));
   Alcotest.(check bool) "partial does not" false
-    (Mutp.is_solution inst (Schedule.of_list [ (2, 0) ]))
+    (Oracle.is_consistent inst (Schedule.of_list [ (2, 0) ]))
 
 let test_bounds () =
   let inst = Helpers.fig1 () in
   Alcotest.(check int) "fig1 lower bound 2" 2 (Mutp.lower_bound inst);
   Alcotest.(check bool) "upper above lower" true
-    (Mutp.upper_bound_hint inst >= Mutp.lower_bound inst);
+    (Feasibility.default_horizon inst >= Mutp.lower_bound inst);
   (* A one-step instance: ample capacity, no deletes (a delete can never
      happen at t0 because in-flight traffic would be blackholed). *)
   let g =
@@ -47,7 +49,7 @@ let test_render_ilp () =
 
 let test_feasibility_min_makespan () =
   let inst = Helpers.fig1 () in
-  match Feasibility.min_makespan ~horizon:6 inst with
+  match Model_feasibility.min_makespan ~horizon:6 inst with
   | Some (m, witness) ->
       Alcotest.(check int) "optimum is 4" 4 m;
       Helpers.check_consistent "witness" inst witness

@@ -191,10 +191,16 @@ let test_kind_clash () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* A span's totals, read off the registry snapshot. *)
+let span_stat label =
+  match List.assoc_opt label (Obs.snapshot ()) with
+  | Some (Obs.Span s) -> s
+  | _ -> { Obs.Span.count = 0; total_ns = 0; max_ns = 0 }
+
 let test_span_nesting () =
   let outer = Obs.Span.v "test.obs.outer" in
   let inner = Obs.Span.v "test.obs.inner" in
-  let o0 = (Obs.Span.stat outer).Obs.Span.count in
+  let o0 = (span_stat "test.obs.outer").Obs.Span.count in
   let spin () = ignore (Sys.opaque_identity (List.init 1000 Fun.id)) in
   let r =
     Obs.Span.with_h outer (fun () ->
@@ -203,7 +209,7 @@ let test_span_nesting () =
             17))
   in
   Alcotest.(check int) "value passes through" 17 r;
-  let so = Obs.Span.stat outer and si = Obs.Span.stat inner in
+  let so = span_stat "test.obs.outer" and si = span_stat "test.obs.inner" in
   Alcotest.(check int) "outer counted once" (o0 + 1) so.Obs.Span.count;
   Alcotest.(check bool)
     "outer total includes inner total" true
@@ -213,10 +219,11 @@ let test_span_nesting () =
     (so.Obs.Span.max_ns <= so.Obs.Span.total_ns);
   (* A raising body is still recorded, and the exception survives. *)
   Alcotest.check_raises "exception re-raised" (Failure "boom") (fun () ->
-      Obs.Span.with_ "test.obs.raise" (fun () -> failwith "boom"));
+      Obs.Span.with_h (Obs.Span.v "test.obs.raise") (fun () ->
+          failwith "boom"));
   Alcotest.(check int)
     "raising span recorded" 1
-    (Obs.Span.stat (Obs.Span.v "test.obs.raise")).Obs.Span.count
+    (span_stat "test.obs.raise").Obs.Span.count
 
 (* The fingerprint of an experiment's rows must not depend on whether the
    trace sink is open: metrics observe, never branch. *)
@@ -231,7 +238,8 @@ let test_trace_parity () =
       Sys.remove file)
     (fun () ->
       Obs.Trace.set_path (Some file);
-      Alcotest.(check bool) "sink reports enabled" true (Obs.Trace.enabled ());
+      Alcotest.(check (option string)) "sink reports its path" (Some file)
+        (Obs.Trace.path ());
       let on = fingerprint (E.Fig7.run ~jobs:1 ~scale ()) in
       Obs.Trace.set_path None;
       Alcotest.(check string) "rows identical with tracing on vs off" off on;

@@ -10,8 +10,7 @@ let test_fig1_optimal () =
       Alcotest.(check int) "optimal makespan 4" 4 (Schedule.makespan sched);
       Helpers.check_consistent "optimal schedule" inst sched
   | _ -> Alcotest.fail "expected Optimal");
-  Alcotest.(check (option int)) "makespan accessor" (Some 4)
-    (Opt.makespan_of r)
+  Alcotest.(check (option int)) "makespan field" (Some 4) r.Opt.makespan
 
 let test_trivial () =
   let g = Helpers.unit_graph_of [ (0, 1) ] in
@@ -52,7 +51,7 @@ let test_matches_exhaustive () =
   for seed = 0 to 11 do
     let inst = Helpers.instance_of_seed ~max_n:5 seed in
     let r = Opt.solve ~timeout:20.0 ~horizon inst in
-    match (r.Opt.outcome, Feasibility.min_makespan ~horizon inst) with
+    match (r.Opt.outcome, Model_feasibility.min_makespan ~horizon inst) with
     | Opt.Optimal s, Some (m, _) ->
         Alcotest.(check int)
           (Format.asprintf "seed %d optimum (%a)" seed Instance.pp inst)

@@ -123,7 +123,7 @@ let test_infeasible_instance_has_no_schedule () =
   let inst = Helpers.infeasible () in
   Alcotest.(check bool)
     "exhaustive search finds nothing" true
-    (Chronus_core.Feasibility.find inst = None)
+    (Model_feasibility.find inst = None)
 
 let suite =
   ( "oracle",

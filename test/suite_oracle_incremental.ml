@@ -1,5 +1,5 @@
 (* Differential tests for the incremental oracle: every [Checker] probe,
-   commit, push/pop, rebase and retarget must produce a report structurally
+   commit, push/pop and retarget must produce a report structurally
    identical to [Oracle.evaluate] run from scratch on the same schedule —
    the equivalence obligation stated in oracle.mli — and the cohort walk
    must match its list-tracer model ([Model_trace]). Plus golden replays
@@ -171,23 +171,26 @@ let push_pop_matches =
           in
           ok1 && ok2 && ok3 && ok4)
 
-(* rebase drops all cached state and re-anchors on a fresh schedule. *)
-let rebase_matches =
-  Test.make ~count ~name:"rebase re-anchors the session"
-    (Helpers.arbitrary_instance ())
-    (fun seed ->
-      let inst = Helpers.instance_of_seed seed in
-      let rng = Rng.derive seed [ 37 ] in
-      let ck = O.Checker.create inst (random_partial rng inst) in
-      let base' = random_partial rng inst in
-      O.Checker.rebase ck base';
-      report_eq (O.Checker.base_report ck) (O.evaluate inst base')
-      && List.for_all
-           (fun v ->
-             let t = Rng.in_range rng 0 7 in
-             report_eq (O.Checker.probe ck v t)
-               (O.evaluate inst (Schedule.add v t base')))
-           (unscheduled inst base'))
+(* A commit between a push and its pop has no frame to land in: [pop]
+   would restore the pre-push base and silently drop it. The session
+   refuses it and stays usable. *)
+let test_commit_under_push () =
+  let inst = Chronus_topo.Scenario.fig1_example () in
+  match Instance.switches_to_update inst with
+  | v :: w :: _ ->
+      let ck = O.Checker.create inst Schedule.empty in
+      ignore (O.Checker.push ck v 0 : O.report);
+      Alcotest.check_raises "commit with an outstanding push"
+        (Invalid_argument "Oracle.Checker.commit: outstanding push frames")
+        (fun () -> ignore (O.Checker.commit ck w 1 : O.report));
+      Alcotest.(check bool) "the pushed base is intact" true
+        (Schedule.equal (O.Checker.base ck) (Schedule.add v 0 Schedule.empty));
+      O.Checker.pop ck;
+      ignore (O.Checker.commit ck w 1 : O.report);
+      Alcotest.(check bool) "commit after the pop" true
+        (report_eq (O.Checker.base_report ck)
+           (O.evaluate inst (Schedule.add w 1 Schedule.empty)))
+  | _ -> Alcotest.fail "fig1 updates at least two switches"
 
 (* retarget re-points a pooled session at another instance over the same
    graph: afterwards the session must be indistinguishable from a fresh
@@ -227,35 +230,6 @@ let retarget_matches =
              report_eq (O.Checker.probe ck v t)
                (O.evaluate inst (Schedule.add v t Schedule.empty)))
            (Instance.switches_to_update inst))
-
-(* set_background swaps the cross-flow steady load under a session
-   without re-tracing: reports must match a session created with that
-   background from the start, on the base and on probes (cached and
-   fresh alike). *)
-let set_background_matches =
-  Test.make ~count ~name:"set_background = fresh create with background"
-    (Helpers.arbitrary_instance ())
-    (fun seed ->
-      let inst = Helpers.instance_of_seed seed in
-      let rng = Rng.derive seed [ 43 ] in
-      let base = random_partial rng inst in
-      let ck = O.Checker.create inst base in
-      (* Populate the probe cache before the swap so reassembly covers
-         cached simulations too. *)
-      let probed =
-        List.map
-          (fun v -> (v, Rng.in_range rng 0 7))
-          (unscheduled inst base)
-      in
-      List.iter (fun (v, t) -> ignore (O.Checker.probe ck v t)) probed;
-      let bg u v = (u + (2 * v)) mod 2 in
-      O.Checker.set_background ck bg;
-      let ck' = O.Checker.create ~background:bg inst base in
-      report_eq (O.Checker.base_report ck) (O.Checker.base_report ck')
-      && List.for_all
-           (fun (v, t) ->
-             report_eq (O.Checker.probe ck v t) (O.Checker.probe ck' v t))
-           probed)
 
 (* retarget ~background swaps the cross-flow steady load along with the
    instance: the session must match one created with that background
@@ -501,9 +475,7 @@ let suite =
         commit_matches;
         probe_list_matches;
         push_pop_matches;
-        rebase_matches;
         retarget_matches;
-        set_background_matches;
         retarget_background_matches;
         trace_from_matches_model;
       ]
@@ -511,6 +483,8 @@ let suite =
   ( name,
     qtests
     @ [
+        Alcotest.test_case "commit refused under push frames" `Quick
+          test_commit_under_push;
         Alcotest.test_case "golden greedy schedules" `Quick test_golden_greedy;
         Alcotest.test_case "golden fallback schedules" `Quick
           test_golden_fallback;

@@ -31,7 +31,7 @@ let test_safety_matches_interleavings () =
         Alcotest.(check bool)
           (Printf.sprintf "round {%s}"
              (String.concat "," (List.map string_of_int round)))
-          (Order_replacement.interleavings_loop_free inst ~done_:[] ~round)
+          (Model_interleavings.loop_free inst ~done_:[] ~round)
           (Order_replacement.round_safe inst ~done_:[] ~round))
     (subsets switches)
 

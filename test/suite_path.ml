@@ -21,12 +21,10 @@ let test_hops_edges () =
   Alcotest.(check bool) "mem_edge" true (Path.mem_edge 2 3 p);
   Alcotest.(check bool) "not mem_edge reversed" false (Path.mem_edge 3 2 p)
 
-let test_next_prev () =
+let test_next_hop () =
   Alcotest.(check (option int)) "next of 2" (Some 3) (Path.next_hop p 2);
   Alcotest.(check (option int)) "next of dst" None (Path.next_hop p 4);
-  Alcotest.(check (option int)) "next of stranger" None (Path.next_hop p 7);
-  Alcotest.(check (option int)) "prev of 2" (Some 1) (Path.prev_hop p 2);
-  Alcotest.(check (option int)) "prev of src" None (Path.prev_hop p 1)
+  Alcotest.(check (option int)) "next of stranger" None (Path.next_hop p 7)
 
 let test_validity () =
   let g = g () in
@@ -67,7 +65,7 @@ let suite =
     [
       Alcotest.test_case "endpoints" `Quick test_endpoints;
       Alcotest.test_case "hops and edges" `Quick test_hops_edges;
-      Alcotest.test_case "next and prev hops" `Quick test_next_prev;
+      Alcotest.test_case "next hops" `Quick test_next_hop;
       Alcotest.test_case "validity" `Quick test_validity;
       Alcotest.test_case "delay and bottleneck" `Quick test_metrics;
       Alcotest.test_case "prefix and suffix" `Quick test_sub_paths;

@@ -134,12 +134,22 @@ let test_addressing_layout () =
       Addressing.fat_tree 32;
       Addressing.flat ~holders:(List.init 128 Fun.id) ();
     ];
-  (* Each holder's prefix covers exactly its own hosts. *)
+  (* Each holder's hosts share a prefix that covers exactly them: the
+     longest prefix common to its own addresses. *)
   let addressing = Addressing.fat_tree 8 in
+  let hosts h =
+    List.init (Addressing.hosts_per_holder addressing) (fun i ->
+        Addressing.addr_of addressing ~holder:h ~host:i)
+  in
+  let rec common_shift shift = function
+    | a :: rest when List.exists (fun b -> b lsr shift <> a lsr shift) rest ->
+        common_shift (shift + 1) (a :: rest)
+    | _ -> shift
+  in
   List.iter
     (fun h ->
-      let prefix, len = Addressing.holder_prefix addressing h in
-      let shift = Addressing.width - len in
+      let mine = hosts h in
+      let prefix = List.hd mine and shift = common_shift 0 mine in
       List.iter
         (fun h' ->
           List.iter

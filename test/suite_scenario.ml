@@ -76,7 +76,7 @@ let test_fig1_fixture () =
   let inst = Scenario.fig1_example () in
   Alcotest.(check int) "updates" 5 (Instance.update_count inst);
   Alcotest.(check int) "edges" 10
-    (Graph.edge_count inst.Instance.graph)
+    (Helpers.edge_count inst.Instance.graph)
 
 let suite =
   ( "scenario",

@@ -16,8 +16,6 @@ let test_times () =
   let s = Schedule.of_list [ (2, 0); (1, 3); (5, 3) ] in
   Alcotest.(check int) "max time" 3 (Schedule.max_time s);
   Alcotest.(check int) "makespan" 4 (Schedule.makespan s);
-  Alcotest.(check (list int)) "distinct times" [ 0; 3 ]
-    (Schedule.distinct_times s);
   Alcotest.(check (list int)) "at 3" [ 1; 5 ] (Schedule.at 3 s);
   Alcotest.(check (list int)) "at empty step" [] (Schedule.at 1 s)
 
@@ -34,25 +32,13 @@ let test_invalid () =
     (Invalid_argument "Schedule.add: v1 already scheduled") (fun () ->
       ignore (Schedule.of_list [ (1, 0); (1, 2) ]))
 
-let test_covers_restrict () =
+let test_covers () =
   let inst = Helpers.fig1 () in
   let partial = Schedule.of_list [ (2, 0); (3, 1) ] in
   Alcotest.(check bool) "partial does not cover" false
     (Schedule.covers inst partial);
   Alcotest.(check bool) "paper schedule covers" true
-    (Schedule.covers inst Helpers.fig1_paper_schedule);
-  let padded = Schedule.add 42 7 Helpers.fig1_paper_schedule in
-  let restricted = Schedule.restrict_to inst padded in
-  Alcotest.(check bool) "restriction drops stranger" true
-    (Schedule.equal restricted Helpers.fig1_paper_schedule)
-
-let test_shift () =
-  let s = Schedule.of_list [ (1, 1); (2, 4) ] in
-  let s' = Schedule.shift 2 s in
-  Alcotest.(check (option int)) "shifted" (Some 3) (Schedule.find 1 s');
-  Alcotest.check_raises "negative shift rejected"
-    (Invalid_argument "Schedule.shift: negative time") (fun () ->
-      ignore (Schedule.shift (-2) s))
+    (Schedule.covers inst Helpers.fig1_paper_schedule)
 
 let suite =
   ( "schedule",
@@ -61,6 +47,5 @@ let suite =
       Alcotest.test_case "time accessors" `Quick test_times;
       Alcotest.test_case "empty schedule" `Quick test_empty;
       Alcotest.test_case "invalid additions" `Quick test_invalid;
-      Alcotest.test_case "covers and restrict" `Quick test_covers_restrict;
-      Alcotest.test_case "shift" `Quick test_shift;
+      Alcotest.test_case "covers" `Quick test_covers;
     ] )

